@@ -83,7 +83,7 @@ fn main() {
 
     for (name, drop_tightness) in [("full Eq. 4", false), ("without tightness", true)] {
         let skip = usize::from(drop_tightness) * 2;
-        let dim = 2 + 2 * agg.embedding_dim - skip;
+        let dim = 2 + 2 * agg.embedding_dim() - skip;
         let mut ds = Dataset::new(dim);
         for &(e, t) in &train {
             if let Some(f) = edge_feature(data.graph, &division, &agg, e) {

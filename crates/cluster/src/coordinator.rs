@@ -317,6 +317,9 @@ pub struct Coordinator {
     world_path: Option<PathBuf>,
     listener: TcpListener,
     addr: SocketAddr,
+    /// Id handed to the next accepted connection. Owned by this
+    /// coordinator (not the process), so its first worker is always #1.
+    next_worker_id: Arc<AtomicU64>,
 }
 
 impl Coordinator {
@@ -341,6 +344,7 @@ impl Coordinator {
             world_path,
             listener,
             addr,
+            next_worker_id: Arc::new(AtomicU64::new(1)),
         })
     }
 
@@ -458,6 +462,7 @@ impl Coordinator {
             tx.clone(),
             Arc::clone(&gate),
             Arc::clone(&stop),
+            Arc::clone(&self.next_worker_id),
             hb_interval,
             Arc::new(self.cfg.secret.clone()),
             Arc::clone(&meter),
@@ -999,6 +1004,7 @@ fn spawn_accept_thread(
     tx: Sender<Event>,
     gate: Arc<Gate>,
     stop: Arc<AtomicBool>,
+    next_worker_id: Arc<AtomicU64>,
     hb_interval: Duration,
     secret: Arc<Option<String>>,
     meter: Arc<TransportMeter>,
@@ -1009,30 +1015,27 @@ fn spawn_accept_thread(
     listener.set_nonblocking(true)?;
     let handle = std::thread::Builder::new()
         .name("locec-cluster-accept".into())
-        .spawn(move || {
-            static NEXT_WORKER_ID: AtomicU64 = AtomicU64::new(1);
-            loop {
-                if stop.load(Ordering::SeqCst) {
-                    return;
+        .spawn(move || loop {
+            if stop.load(Ordering::SeqCst) {
+                return;
+            }
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    let id = next_worker_id.fetch_add(1, Ordering::Relaxed);
+                    let tx = tx.clone();
+                    let gate = Arc::clone(&gate);
+                    let secret = Arc::clone(&secret);
+                    let meter = Arc::clone(&meter);
+                    let _ = std::thread::Builder::new()
+                        .name(format!("locec-cluster-reader-{id}"))
+                        .spawn(move || {
+                            reader_thread(stream, id, tx, gate, hb_interval, secret, meter)
+                        });
                 }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let id = NEXT_WORKER_ID.fetch_add(1, Ordering::Relaxed);
-                        let tx = tx.clone();
-                        let gate = Arc::clone(&gate);
-                        let secret = Arc::clone(&secret);
-                        let meter = Arc::clone(&meter);
-                        let _ = std::thread::Builder::new()
-                            .name(format!("locec-cluster-reader-{id}"))
-                            .spawn(move || {
-                                reader_thread(stream, id, tx, gate, hb_interval, secret, meter)
-                            });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(25)),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(25));
                 }
+                Err(_) => std::thread::sleep(Duration::from_millis(25)),
             }
         })?;
     Ok(handle)

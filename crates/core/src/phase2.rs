@@ -20,6 +20,7 @@ use locec_ml::{Dataset, Scratch, Tensor};
 use locec_runtime::WorkerPool;
 use locec_synth::types::RelationType;
 use locec_synth::SocialDataset;
+use std::sync::Mutex;
 
 /// Communities per worker-pool chunk for feature building. Feature cost
 /// scales with community size, so the small grain lets the dynamic
@@ -88,31 +89,89 @@ pub enum CommunityClassifier {
     Cnn(Box<CommCnn>),
 }
 
-/// `r_C` vectors (and class predictions) for every local community.
-#[derive(Clone, Debug)]
+/// `r_C` vectors (and class predictions) for every local community: two
+/// flat row-major matrices with one row per community index, so Phase III
+/// reads a row with one offset computation and the snapshot store moves
+/// each matrix as a single column.
+#[derive(Clone, Debug, PartialEq)]
 pub struct AggregationResult {
-    /// Per-community embedding `r_C` handed to Phase III (probabilities for
-    /// CNN, leaf values for XGB). Indexed by community index.
-    pub embeddings: Vec<Vec<f32>>,
-    /// Per-community class probabilities (always length `|L|`).
-    pub probabilities: Vec<Vec<f32>>,
-    /// Dimensionality of one embedding.
-    pub embedding_dim: usize,
+    /// `len × embedding_dim` embeddings `r_C` handed to Phase III
+    /// (probabilities for CNN, leaf values for XGB).
+    embeddings: Vec<f32>,
+    /// `len × |L|` class probabilities.
+    probabilities: Vec<f32>,
+    embedding_dim: usize,
 }
 
 impl AggregationResult {
+    /// Wraps the two flat matrices, checking that they describe the same
+    /// number of communities.
+    pub fn from_flat(
+        embeddings: Vec<f32>,
+        probabilities: Vec<f32>,
+        embedding_dim: usize,
+    ) -> Result<Self, &'static str> {
+        if !probabilities.len().is_multiple_of(RelationType::COUNT) {
+            return Err("probability matrix is not whole rows");
+        }
+        let len = probabilities.len() / RelationType::COUNT;
+        if len.checked_mul(embedding_dim) != Some(embeddings.len()) {
+            return Err("embedding matrix does not match the community count");
+        }
+        Ok(AggregationResult {
+            embeddings,
+            probabilities,
+            embedding_dim,
+        })
+    }
+
+    /// Number of communities covered.
+    pub fn len(&self) -> usize {
+        self.probabilities.len() / RelationType::COUNT
+    }
+
+    /// Whether no community is covered.
+    pub fn is_empty(&self) -> bool {
+        self.probabilities.is_empty()
+    }
+
+    /// Dimensionality of one embedding.
+    pub fn embedding_dim(&self) -> usize {
+        self.embedding_dim
+    }
+
+    /// The embedding `r_C` of a community.
+    pub fn embedding(&self, community_idx: usize) -> &[f32] {
+        &self.embeddings[community_idx * self.embedding_dim..][..self.embedding_dim]
+    }
+
+    /// The class probabilities of a community (length `|L|`).
+    pub fn probabilities(&self, community_idx: usize) -> &[f32] {
+        &self.probabilities[community_idx * RelationType::COUNT..][..RelationType::COUNT]
+    }
+
+    /// The whole embedding matrix, row-major.
+    pub fn embeddings_flat(&self) -> &[f32] {
+        &self.embeddings
+    }
+
+    /// The whole probability matrix, row-major.
+    pub fn probabilities_flat(&self) -> &[f32] {
+        &self.probabilities
+    }
+
     /// Predicted class of a community (argmax of probabilities).
     pub fn predicted_class(&self, community_idx: u32) -> usize {
-        argmax(&self.probabilities[community_idx as usize])
+        argmax(self.probabilities(community_idx as usize))
     }
 
     /// Distribution of predicted community classes (Fig. 13a).
     pub fn class_distribution(&self) -> [f64; RelationType::COUNT] {
         let mut counts = [0usize; RelationType::COUNT];
-        for p in &self.probabilities {
+        for p in self.probabilities.chunks_exact(RelationType::COUNT) {
             counts[argmax(p)] += 1;
         }
-        let total = self.probabilities.len().max(1) as f64;
+        let total = self.len().max(1) as f64;
         [
             counts[0] as f64 / total,
             counts[1] as f64 / total,
@@ -158,49 +217,58 @@ impl CommunityClassifier {
     }
 
     /// Computes `r_C` (embedding + probabilities) for every community.
+    ///
+    /// Both result matrices are allocated at their final size and split
+    /// into one disjoint row block per pool chunk; each chunk builds its
+    /// features, runs the model and writes its rows in place. Chunk
+    /// boundaries depend only on `(n, FEATURE_GRAIN)`, keeping the output —
+    /// and the `ml.*` counters — thread-count invariant.
     pub fn predict_all(
         &self,
         data: &SocialDataset<'_>,
         division: &DivisionResult,
         config: &LocecConfig,
     ) -> AggregationResult {
+        const CLASSES: usize = RelationType::COUNT;
         let n = division.communities.len();
-        let mut embeddings = Vec::with_capacity(n);
-        let mut probabilities = Vec::with_capacity(n);
-        match self {
-            CommunityClassifier::Xgb(model) => {
-                // Feature building and tree inference are both pure, so the
-                // whole per-community pipeline runs fused on the pool.
-                let threads = config.threads.max(1);
-                let chunks: Vec<Vec<(Vec<f32>, Vec<f32>)>> =
-                    WorkerPool::global().run_chunked(n, threads, FEATURE_GRAIN, |range| {
-                        range
-                            .map(|i| {
-                                let v = pooled_feature_vector(
-                                    data.graph,
-                                    data.interactions,
-                                    data.user_features,
-                                    &division.communities[i],
-                                );
-                                (model.leaf_values(&v), model.predict_proba(&v))
-                            })
-                            .collect()
-                    });
-                for (e, p) in chunks.into_iter().flatten() {
-                    embeddings.push(e);
-                    probabilities.push(p);
-                }
-            }
-            CommunityClassifier::Cnn(cnn) => {
-                // The frozen forward pass is `&self`, so feature building
-                // and CommCNN inference run fused per chunk on the pool,
-                // each chunk with its own scratch arena. Chunk boundaries
-                // depend only on (n, FEATURE_GRAIN), keeping the output —
-                // and the `ml.*` counters — thread-count invariant.
-                let cnn: &CommCnn = cnn;
-                let threads = config.threads.max(1);
-                let chunks: Vec<Vec<Vec<f32>>> =
-                    WorkerPool::global().run_chunked(n, threads, FEATURE_GRAIN, |range| {
+        let dim = match self {
+            CommunityClassifier::Xgb(model) => model.num_trees(),
+            CommunityClassifier::Cnn(_) => CLASSES,
+        };
+        let mut embeddings = vec![0.0f32; n * dim];
+        let mut probabilities = vec![0.0f32; n * CLASSES];
+        {
+            // Each slot is locked exactly once, by the chunk that owns it.
+            // (A zero-width embedding has no blocks to hand out; its chunks
+            // get empty ones.)
+            let mut emb_blocks = embeddings.chunks_mut((FEATURE_GRAIN * dim).max(1));
+            let slots: Vec<Mutex<(&mut [f32], &mut [f32])>> = probabilities
+                .chunks_mut(FEATURE_GRAIN * CLASSES)
+                .map(|prob| Mutex::new((emb_blocks.next().unwrap_or_default(), prob)))
+                .collect();
+            let threads = config.threads.max(1);
+            WorkerPool::global().run_chunked(n, threads, FEATURE_GRAIN, |range| {
+                let mut slot = slots[range.start / FEATURE_GRAIN]
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner());
+                let (emb, prob) = &mut *slot;
+                match self {
+                    CommunityClassifier::Xgb(model) => {
+                        for (row, i) in range.enumerate() {
+                            let v = pooled_feature_vector(
+                                data.graph,
+                                data.interactions,
+                                data.user_features,
+                                &division.communities[i],
+                            );
+                            model.leaf_values_into(&v, &mut emb[row * dim..(row + 1) * dim]);
+                            prob[row * CLASSES..(row + 1) * CLASSES]
+                                .copy_from_slice(&model.predict_proba(&v));
+                        }
+                    }
+                    CommunityClassifier::Cnn(cnn) => {
+                        // The frozen forward pass is `&self`, so every
+                        // chunk infers with its own scratch arena.
                         let matrices: Vec<Tensor> = range
                             .map(|i| {
                                 community_feature_matrix_ordered(
@@ -216,19 +284,20 @@ impl CommunityClassifier {
                             .collect();
                         let refs: Vec<&Tensor> = matrices.iter().collect();
                         let mut scratch = Scratch::new();
-                        cnn.predict_proba_chunk(&refs, &mut scratch)
-                    });
-                for p in chunks.into_iter().flatten() {
-                    embeddings.push(p.clone());
-                    probabilities.push(p);
+                        let rows = cnn.predict_proba_chunk(&refs, &mut scratch);
+                        for (row, p) in rows.iter().enumerate() {
+                            emb[row * CLASSES..(row + 1) * CLASSES].copy_from_slice(p);
+                            prob[row * CLASSES..(row + 1) * CLASSES].copy_from_slice(p);
+                        }
+                    }
                 }
-            }
+            });
         }
-        let embedding_dim = embeddings.first().map_or(0, Vec::len);
         AggregationResult {
             embeddings,
             probabilities,
-            embedding_dim,
+            // An empty division keeps the width it always reported.
+            embedding_dim: if n == 0 { 0 } else { dim },
         }
     }
 
@@ -308,11 +377,11 @@ mod tests {
         let ds = scenario.dataset();
         let model = CommunityClassifier::train(&ds, &division, &labeled, &config);
         let agg = model.predict_all(&ds, &division, &config);
-        assert_eq!(agg.probabilities.len(), division.num_communities());
-        assert_eq!(agg.embeddings.len(), division.num_communities());
-        assert!(agg.embedding_dim > RelationType::COUNT, "leaf values");
-        for p in &agg.probabilities {
-            assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-4);
+        assert_eq!(agg.len(), division.num_communities());
+        assert!(agg.embedding_dim() > RelationType::COUNT, "leaf values");
+        assert_eq!(agg.embeddings_flat().len(), agg.len() * agg.embedding_dim());
+        for i in 0..agg.len() {
+            assert!((agg.probabilities(i).iter().sum::<f32>() - 1.0).abs() < 1e-4);
         }
     }
 
@@ -325,8 +394,9 @@ mod tests {
         let ds = scenario.dataset();
         let model = CommunityClassifier::train(&ds, &division, &labeled, &config);
         let agg = model.predict_all(&ds, &division, &config);
-        assert_eq!(agg.probabilities.len(), division.num_communities());
-        assert_eq!(agg.embedding_dim, RelationType::COUNT);
+        assert_eq!(agg.len(), division.num_communities());
+        assert_eq!(agg.embedding_dim(), RelationType::COUNT);
+        assert_eq!(agg.embeddings_flat(), agg.probabilities_flat());
         let dist = agg.class_distribution();
         assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
@@ -362,11 +432,7 @@ mod tests {
                     ..config.clone()
                 };
                 let agg = model.predict_all(&ds, &division, &cfg);
-                assert_eq!(
-                    agg.embeddings, base.embeddings,
-                    "{kind:?} {threads} threads"
-                );
-                assert_eq!(agg.probabilities, base.probabilities);
+                assert_eq!(agg, base, "{kind:?} {threads} threads");
             }
         }
     }

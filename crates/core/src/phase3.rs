@@ -10,11 +10,12 @@
 use crate::phase1::DivisionResult;
 use crate::phase2::AggregationResult;
 use locec_graph::{CsrGraph, EdgeId, NodeId};
-use locec_ml::linear::{LogisticRegression, LogisticRegressionConfig};
+use locec_ml::linear::{BlockScratch, LogisticRegression, LogisticRegressionConfig};
 use locec_ml::metrics::{evaluate, Evaluation};
 use locec_ml::Dataset;
 use locec_runtime::WorkerPool;
 use locec_synth::types::RelationType;
+use std::cell::RefCell;
 
 /// Builds the Eq. 4 feature vector of an edge. Returns `None` only when the
 /// division result does not cover the edge (cannot happen for divisions
@@ -25,33 +26,58 @@ pub fn edge_feature(
     agg: &AggregationResult,
     edge: EdgeId,
 ) -> Option<Vec<f32>> {
-    let (u, v) = graph.endpoints(edge);
-    build_edge_feature(graph, division, agg, u, v)
+    let mut f = vec![0.0; feature_dim(agg)];
+    EdgeParts::of(graph, division, agg, edge)?.write(&mut f, 1);
+    Some(f)
 }
 
-fn build_edge_feature(
-    graph: &CsrGraph,
-    division: &DivisionResult,
-    agg: &AggregationResult,
-    u: NodeId,
-    v: NodeId,
-) -> Option<Vec<f32>> {
-    // C_u: u's community in v's ego network; C_v: v's in u's.
-    let cu_idx = division.community_index_of(graph, v, u)?;
-    let cv_idx = division.community_index_of(graph, u, v)?;
-    let cu = &division.communities[cu_idx as usize];
-    let cv = &division.communities[cv_idx as usize];
-    let tight_u = cu.member_tightness(u)?;
-    let tight_v = cv.member_tightness(v)?;
-    let r_cu = &agg.embeddings[cu_idx as usize];
-    let r_cv = &agg.embeddings[cv_idx as usize];
+/// Width of the Eq. 4 vector.
+fn feature_dim(agg: &AggregationResult) -> usize {
+    2 + 2 * agg.embedding_dim()
+}
 
-    let mut f = Vec::with_capacity(2 + r_cu.len() + r_cv.len());
-    f.push(tight_u);
-    f.push(tight_v);
-    f.extend_from_slice(r_cu);
-    f.extend_from_slice(r_cv);
-    Some(f)
+/// The four parts of one edge's Eq. 4 vector, borrowed from the division
+/// and the aggregation.
+struct EdgeParts<'a> {
+    tight_u: f32,
+    tight_v: f32,
+    r_cu: &'a [f32],
+    r_cv: &'a [f32],
+}
+
+impl<'a> EdgeParts<'a> {
+    fn of(
+        graph: &CsrGraph,
+        division: &DivisionResult,
+        agg: &'a AggregationResult,
+        edge: EdgeId,
+    ) -> Option<Self> {
+        let (u, v): (NodeId, NodeId) = graph.endpoints(edge);
+        // C_u: u's community in v's ego network; C_v: v's in u's.
+        let cu_idx = division.community_index_of(graph, v, u)? as usize;
+        let cv_idx = division.community_index_of(graph, u, v)? as usize;
+        Some(EdgeParts {
+            tight_u: division.communities[cu_idx].member_tightness(u)?,
+            tight_v: division.communities[cv_idx].member_tightness(v)?,
+            r_cu: agg.embedding(cu_idx),
+            r_cv: agg.embedding(cv_idx),
+        })
+    }
+
+    /// Writes feature `j` to `out[j * stride]`: stride 1 fills a row,
+    /// stride `rows` fills one sample's column of a feature-major block.
+    fn write(&self, out: &mut [f32], stride: usize) {
+        out[0] = self.tight_u;
+        out[stride] = self.tight_v;
+        let mut at = 2;
+        for r_c in [self.r_cu, self.r_cv] {
+            let slots = out[at * stride..].iter_mut().step_by(stride);
+            for (slot, &r) in slots.zip(r_c) {
+                *slot = r;
+            }
+            at += r_c.len();
+        }
+    }
 }
 
 /// The trained Phase III edge classifier.
@@ -80,15 +106,20 @@ impl EdgeClassifier {
         lr_config: &LogisticRegressionConfig,
     ) -> Self {
         assert!(!train_edges.is_empty(), "no labeled edges to train on");
-        let dim = 2 + 2 * agg.embedding_dim;
-        let mut ds = Dataset::new(dim);
+        let mut ds = Dataset::new(feature_dim(agg));
+        let mut row = vec![0.0; feature_dim(agg)];
         for &(e, label) in train_edges {
-            if let Some(f) = edge_feature(graph, division, agg, e) {
-                ds.push(&f, label.label());
+            if let Some(parts) = EdgeParts::of(graph, division, agg, e) {
+                parts.write(&mut row, 1);
+                ds.push(&row, label.label());
             }
         }
         assert!(!ds.is_empty(), "no train edge produced a feature vector");
-        let lr = LogisticRegression::fit(&ds, RelationType::COUNT, lr_config);
+        let (lr, epochs) =
+            LogisticRegression::fit_counting_epochs(&ds, RelationType::COUNT, lr_config);
+        locec_obs::Recorder::global()
+            .counter("phase3.train_epochs")
+            .add(epochs as u64);
         EdgeClassifier { lr }
     }
 
@@ -137,10 +168,14 @@ impl EdgeClassifier {
 
     /// Predicted type of every edge in the graph (Fig. 13b distribution).
     ///
-    /// Embarrassingly parallel over edges (§V-D), so the per-edge feature
-    /// build + logistic-regression inference runs chunked on the
-    /// [`locec_runtime::WorkerPool`]. Chunk outputs are merged in edge
-    /// order, so the result is bit-identical for every thread count.
+    /// Embarrassingly parallel over edges (§V-D): each
+    /// [`locec_runtime::WorkerPool`] chunk builds its edges' vectors as
+    /// feature-major blocks in thread-local scratch and classifies a block
+    /// with one GEMM ([`LogisticRegression::predict_block`]). Chunk and
+    /// block boundaries depend on the edge count alone and chunk outputs
+    /// are merged in edge order, so the labels — bit for bit those of
+    /// [`EdgeClassifier::predict`] — and the `ml.linear_gemm_calls` total
+    /// are the same for every thread count.
     pub fn predict_all(
         &self,
         graph: &CsrGraph,
@@ -148,19 +183,43 @@ impl EdgeClassifier {
         agg: &AggregationResult,
         threads: usize,
     ) -> Vec<RelationType> {
-        /// Edges per pool chunk: one edge is a handful of array reads plus
-        /// a small matrix-vector product, so chunks are coarse.
+        /// Edges per pool chunk.
         const EDGE_GRAIN: usize = 1024;
+        /// Edges per GEMM within a chunk. Sixteen times an odd number:
+        /// whole kernel panels, and a feature-major column stride of an
+        /// odd count of cache lines, so the strided writes that fill a
+        /// block spread over every cache set instead of a few.
+        const EDGE_BLOCK: usize = 208;
+        thread_local! {
+            static SCRATCH: RefCell<(Vec<f32>, BlockScratch)> = RefCell::default();
+        }
         let m = graph.num_edges();
+        let dim = feature_dim(agg);
         let threads = threads.clamp(1, m.max(1));
         let chunks: Vec<Vec<RelationType>> =
             WorkerPool::global().run_chunked(m, threads, EDGE_GRAIN, |range| {
-                range
-                    .map(|i| {
-                        self.predict(graph, division, agg, EdgeId(i as u32))
-                            .expect("division covers every edge")
-                    })
-                    .collect()
+                SCRATCH.with_borrow_mut(|(xt, scratch)| {
+                    let mut labels = Vec::with_capacity(range.len());
+                    let mut parts = Vec::with_capacity(EDGE_BLOCK);
+                    for first in range.clone().step_by(EDGE_BLOCK) {
+                        let rows = EDGE_BLOCK.min(range.end - first);
+                        // Resolve the whole block before copying any of it:
+                        // a resolution is a short chain of dependent cache
+                        // misses, and many short iterations in a row let
+                        // the chains of different edges overlap.
+                        parts.clear();
+                        parts.extend((first..first + rows).map(|e| {
+                            EdgeParts::of(graph, division, agg, EdgeId(e as u32))
+                                .expect("division covers every edge")
+                        }));
+                        xt.resize(dim * rows, 0.0);
+                        for (i, p) in parts.iter().enumerate() {
+                            p.write(&mut xt[i..], rows);
+                        }
+                        self.lr.predict_block(xt, rows, scratch, &mut labels);
+                    }
+                    labels.into_iter().map(RelationType::from_label).collect()
+                })
             });
         chunks.into_iter().flatten().collect()
     }
@@ -221,7 +280,7 @@ mod tests {
     #[test]
     fn edge_features_have_consistent_dimension() {
         let f = fixture();
-        let expected = 2 + 2 * f.agg.embedding_dim;
+        let expected = 2 + 2 * f.agg.embedding_dim();
         for (e, _, _) in f.scenario.graph.edges().take(100) {
             let feat = edge_feature(&f.scenario.graph, &f.division, &f.agg, e).unwrap();
             assert_eq!(feat.len(), expected);
@@ -257,15 +316,23 @@ mod tests {
     }
 
     #[test]
-    fn predict_all_is_thread_count_invariant() {
+    fn predict_all_equals_per_edge_predict_at_every_pool_size() {
         let f = fixture();
         let ds = f.scenario.dataset();
         let labeled = ds.labeled_edges_sorted();
         let clf = EdgeClassifier::train(ds.graph, &f.division, &f.agg, &labeled, &f.config.lr);
-        let base = clf.predict_all(ds.graph, &f.division, &f.agg, 1);
-        for threads in [2usize, 4, 8] {
+        // The tiny graph spans several pool chunks and, within a chunk,
+        // several GEMM blocks, the last of each ragged.
+        assert!(ds.graph.num_edges() > 3 * 1024);
+        let per_edge: Vec<RelationType> = (0..ds.graph.num_edges())
+            .map(|e| {
+                clf.predict(ds.graph, &f.division, &f.agg, EdgeId(e as u32))
+                    .unwrap()
+            })
+            .collect();
+        for threads in [1usize, 2, 8] {
             let preds = clf.predict_all(ds.graph, &f.division, &f.agg, threads);
-            assert_eq!(preds, base, "{threads} threads diverged");
+            assert_eq!(preds, per_edge, "{threads} threads diverged");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Thread-count invariance of the semantic Phase I counters.
+//! Thread-count invariance of the semantic Phase I and Phase III counters.
 //!
 //! The observability layer's counters fall in two classes: *semantic*
 //! counters describe the work itself (egos divided, detector runs, work
@@ -6,15 +6,18 @@
 //! describe how the pool happened to execute it (steals, broadcasts,
 //! busy time — legitimately different on every run). A report is only
 //! trustworthy if the semantic class is bit-identical no matter how many
-//! worker threads the divide ran on; this test pins that contract across
-//! pool sizes 1, 2 and 8.
+//! worker threads the divide — or the Phase III train + classify — ran on;
+//! this test pins that contract across pool sizes 1, 2 and 8.
 //!
 //! Deltas are measured against the process-global recorder, so this file
 //! holds exactly one `#[test]` — a sibling test in the same binary would
 //! race the counters.
 
-use locec_core::phase1::divide_range;
-use locec_core::LocecConfig;
+use locec_core::ground_truth::community_ground_truth;
+use locec_core::phase1::{divide, divide_range};
+use locec_core::phase2::CommunityClassifier;
+use locec_core::phase3::EdgeClassifier;
+use locec_core::{CommunityModelKind, LocecConfig};
 use locec_obs::Recorder;
 use locec_synth::{Scenario, SynthConfig};
 
@@ -29,6 +32,11 @@ const SEMANTIC: &[&str] = &[
     "phase1.louvain_fallbacks",
     "pool.chunks",
 ];
+
+/// Phase III counters with the same property: the logistic regression's
+/// GEMM count is fixed by the sample counts and constant block sizes, the
+/// epoch count by the data.
+const SEMANTIC_PHASE3: &[&str] = &["ml.linear_gemm_calls", "phase3.train_epochs"];
 
 #[test]
 fn semantic_counters_are_thread_count_invariant() {
@@ -68,5 +76,43 @@ fn semantic_counters_are_thread_count_invariant() {
                 "{name} diverged: {got} at {threads} threads vs {want} at 1 thread"
             );
         }
+    }
+
+    // Phase III: train + classify every edge on the same aggregation.
+    let config = LocecConfig {
+        community_model: CommunityModelKind::Xgb,
+        ..LocecConfig::fast()
+    };
+    let division = divide(&scenario.graph, &config);
+    let ds = scenario.dataset();
+    let labeled = community_ground_truth(
+        ds.graph,
+        &division,
+        ds.labeled_edges,
+        config.community_label_min_coverage,
+    );
+    let agg = CommunityClassifier::train(&ds, &division, &labeled, &config)
+        .predict_all(&ds, &division, &config);
+    let train_edges = ds.labeled_edges_sorted();
+    let mut baseline: Option<Vec<u64>> = None;
+    for threads in [1usize, 2, 8] {
+        let before = recorder.snapshot();
+        let clf = EdgeClassifier::train(ds.graph, &division, &agg, &train_edges, &config.lr);
+        let labels = clf.predict_all(ds.graph, &division, &agg, threads);
+        let after = recorder.snapshot();
+        assert_eq!(labels.len(), ds.graph.num_edges());
+        let deltas: Vec<u64> = SEMANTIC_PHASE3
+            .iter()
+            .map(|name| after.counter(name) - before.counter(name))
+            .collect();
+        assert!(
+            deltas.iter().all(|&d| d > 0),
+            "Phase III recorded nothing under one of {SEMANTIC_PHASE3:?}: {deltas:?}"
+        );
+        let want = baseline.get_or_insert_with(|| deltas.clone());
+        assert_eq!(
+            &deltas, want,
+            "{SEMANTIC_PHASE3:?} diverged at {threads} threads"
+        );
     }
 }

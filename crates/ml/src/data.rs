@@ -62,6 +62,11 @@ impl Dataset {
         &self.features[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// Every feature, flattened row-major (`len() × cols()`).
+    pub fn features(&self) -> &[f32] {
+        &self.features
+    }
+
     /// Label of row `i`.
     pub fn label(&self, i: usize) -> usize {
         self.labels[i]

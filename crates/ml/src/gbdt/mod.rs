@@ -227,7 +227,18 @@ impl Gbdt {
     /// "values of the leaf nodes on the final layers of generated trees"
     /// used as community embeddings in LoCEC-XGB.
     pub fn leaf_values(&self, x: &[f32]) -> Vec<f32> {
-        self.trees.iter().map(|t| t.predict(x)).collect()
+        let mut out = vec![0.0; self.trees.len()];
+        self.leaf_values_into(x, &mut out);
+        out
+    }
+
+    /// [`Gbdt::leaf_values`] written into a caller-owned row of
+    /// `num_trees()` values.
+    pub fn leaf_values_into(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(out.len(), self.trees.len(), "one value per tree");
+        for (slot, tree) in out.iter_mut().zip(&self.trees) {
+            *slot = tree.predict(x);
+        }
     }
 }
 

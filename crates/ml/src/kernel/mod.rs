@@ -194,6 +194,8 @@ impl ConvGeom {
 struct MlMetrics {
     gemm_nanos: locec_obs::Counter,
     gemm_calls: locec_obs::Counter,
+    linear_gemm_nanos: locec_obs::Counter,
+    linear_gemm_calls: locec_obs::Counter,
     im2col_nanos: locec_obs::Counter,
     im2col_calls: locec_obs::Counter,
     train_samples: locec_obs::Counter,
@@ -208,6 +210,8 @@ impl MlMetrics {
             MlMetrics {
                 gemm_nanos: rec.counter("ml.gemm_nanos"),
                 gemm_calls: rec.counter("ml.gemm_calls"),
+                linear_gemm_nanos: rec.counter("ml.linear_gemm_nanos"),
+                linear_gemm_calls: rec.counter("ml.linear_gemm_calls"),
                 im2col_nanos: rec.counter("ml.im2col_nanos"),
                 im2col_calls: rec.counter("ml.im2col_calls"),
                 train_samples: rec.counter("ml.train_samples"),
@@ -227,8 +231,61 @@ pub fn record_infer_samples(n: usize) {
     MlMetrics::get().infer_samples.add(n as u64);
 }
 
-/// `sgemm` with `ml.gemm_nanos` / `ml.gemm_calls` accounting.
+/// `sgemm` with `ml.gemm_nanos` / `ml.gemm_calls` accounting: the conv
+/// and dense layers' GEMMs.
 pub(crate) fn timed_sgemm(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    pack: &mut Vec<f32>,
+) {
+    let metrics = MlMetrics::get();
+    sgemm_recording(
+        &metrics.gemm_nanos,
+        &metrics.gemm_calls,
+        m,
+        n,
+        k,
+        a,
+        b,
+        c,
+        pack,
+    );
+}
+
+/// `sgemm` with `ml.linear_gemm_nanos` / `ml.linear_gemm_calls`
+/// accounting: the logistic regression's GEMMs, kept apart so that
+/// `ml.gemm_*` goes on meaning the neural layers alone.
+pub(crate) fn timed_linear_sgemm(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    pack: &mut Vec<f32>,
+) {
+    let metrics = MlMetrics::get();
+    sgemm_recording(
+        &metrics.linear_gemm_nanos,
+        &metrics.linear_gemm_calls,
+        m,
+        n,
+        k,
+        a,
+        b,
+        c,
+        pack,
+    );
+}
+
+#[allow(clippy::too_many_arguments)]
+fn sgemm_recording(
+    nanos: &locec_obs::Counter,
+    calls: &locec_obs::Counter,
     m: usize,
     n: usize,
     k: usize,
@@ -239,11 +296,8 @@ pub(crate) fn timed_sgemm(
 ) {
     let start = Instant::now();
     sgemm::sgemm(m, n, k, a, b, c, pack);
-    let metrics = MlMetrics::get();
-    metrics
-        .gemm_nanos
-        .add(locec_obs::metrics::saturating_nanos(start));
-    metrics.gemm_calls.incr();
+    nanos.add(locec_obs::metrics::saturating_nanos(start));
+    calls.incr();
 }
 
 /// Runs an im2col-family lowering with `ml.im2col_nanos` / `ml.im2col_calls`

@@ -18,8 +18,10 @@
 //!   packed, each block is touched once and stays cache-resident across
 //!   strips. With a single strip there is no reuse to buy, so packing
 //!   would be pure overhead — those GEMMs (e.g. the input-gradient GEMM,
-//!   `m = c_in`) read B in place. Ragged right-edge columns are always
-//!   read in place.
+//!   `m = c_in`) read B in place. A ragged right edge (fewer than `NR`
+//!   columns left) is always packed, zero-padded to a full panel, so it
+//!   runs through the same micro-kernel; the padded lanes fold zeros and
+//!   are never written back.
 //! * **No k-blocking.** Each output element is one flat left-fold over the
 //!   *entire* `k` dimension, in ascending order, starting from the value
 //!   already in `C`. Splitting `k` into cache panels would re-associate
@@ -67,12 +69,15 @@ pub fn sgemm(
     }
 
     // A panels at the front of `pack`; the current B block after them when
-    // packing B pays for itself (more than one strip to reuse it).
+    // packing B pays for itself (more than one strip to reuse it). A ragged
+    // right-edge panel is packed in every case.
     let strips = m.div_ceil(MR);
     let a_len = strips * MR * k;
     let pack_b = strips > 1;
     let bpack_cols = if pack_b {
         NC.min(n.div_ceil(NR) * NR)
+    } else if !n.is_multiple_of(NR) {
+        NR
     } else {
         0
     };
@@ -83,12 +88,13 @@ pub fn sgemm(
     let mut jc = 0;
     while jc < n {
         let nb = NC.min(n - jc);
-        let nb_full = nb - nb % NR;
+        let full = nb / NR;
+        let ragged = nb % NR;
 
         if pack_b {
             // Pack this block's full NR panels k-major, once, reused by
             // every A strip below.
-            for t in 0..nb_full / NR {
+            for t in 0..full {
                 let jt = jc + t * NR;
                 for p in 0..k {
                     bpack[(t * k + p) * NR..(t * k + p + 1) * NR]
@@ -96,41 +102,76 @@ pub fn sgemm(
                 }
             }
         }
+        // The ragged panel sits after the packed full ones (first when
+        // they are read in place).
+        let ragged_at = if pack_b { full * k * NR } else { 0 };
+        if ragged > 0 {
+            let jt = jc + full * NR;
+            for (p, dst) in bpack[ragged_at..ragged_at + k * NR]
+                .chunks_exact_mut(NR)
+                .enumerate()
+            {
+                dst[..ragged].copy_from_slice(&b[p * n + jt..p * n + jt + ragged]);
+                dst[ragged..].fill(0.0);
+            }
+        }
 
         for (s, a_strip) in apack.chunks_exact(MR * k).enumerate() {
             let i0 = s * MR;
             let rows = MR.min(m - i0);
 
-            for t in 0..nb_full / NR {
+            for t in 0..full {
                 let jt = jc + t * NR;
-                // Load the C block, run the k-fold in registers, store back.
-                let mut acc = [[0.0f32; NR]; MR];
-                for (i, row) in acc.iter_mut().enumerate().take(rows) {
-                    row.copy_from_slice(&c[(i0 + i) * n + jt..(i0 + i) * n + jt + NR]);
-                }
+                let mut acc = load_tile(c, n, i0, rows, jt, NR);
                 if pack_b {
                     micro_tile_packed(a_strip, &bpack[t * k * NR..(t * k + k) * NR], &mut acc);
                 } else {
                     micro_tile_strided(a_strip, &b[jt..], n, &mut acc);
                 }
-                for (i, row) in acc.iter().enumerate().take(rows) {
-                    c[(i0 + i) * n + jt..(i0 + i) * n + jt + NR].copy_from_slice(row);
-                }
+                store_tile(&acc, c, n, i0, rows, jt, NR);
             }
-
-            // Ragged right edge of the block: scalar folds straight from B,
-            // same ascending-k order.
-            for j in jc + nb_full..jc + nb {
-                for i in 0..rows {
-                    let mut acc = c[(i0 + i) * n + j];
-                    for p in 0..k {
-                        acc += a_strip[p * MR + i] * b[p * n + j];
-                    }
-                    c[(i0 + i) * n + j] = acc;
-                }
+            if ragged > 0 {
+                let jt = jc + full * NR;
+                let mut acc = load_tile(c, n, i0, rows, jt, ragged);
+                micro_tile_packed(a_strip, &bpack[ragged_at..ragged_at + k * NR], &mut acc);
+                store_tile(&acc, c, n, i0, rows, jt, ragged);
             }
         }
         jc += nb;
+    }
+}
+
+/// Loads the `rows × width` block of `C` at `(i0, jt)` into a zeroed
+/// register tile: the fold starts from the value already in `C`.
+#[inline(always)]
+fn load_tile(
+    c: &[f32],
+    n: usize,
+    i0: usize,
+    rows: usize,
+    jt: usize,
+    width: usize,
+) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (i, row) in acc.iter_mut().enumerate().take(rows) {
+        row[..width].copy_from_slice(&c[(i0 + i) * n + jt..(i0 + i) * n + jt + width]);
+    }
+    acc
+}
+
+/// Stores the tile's `rows × width` live block back to `C`.
+#[inline(always)]
+fn store_tile(
+    acc: &[[f32; NR]; MR],
+    c: &mut [f32],
+    n: usize,
+    i0: usize,
+    rows: usize,
+    jt: usize,
+    width: usize,
+) {
+    for (i, row) in acc.iter().enumerate().take(rows) {
+        c[(i0 + i) * n + jt..(i0 + i) * n + jt + width].copy_from_slice(&row[..width]);
     }
 }
 

@@ -22,7 +22,7 @@
 //! mismatch, or a checksum failure — never a panic.
 
 use std::fmt;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -200,12 +200,18 @@ fn crc32_timed(bytes: &[u8]) -> u32 {
     crc
 }
 
-/// CRC32 (IEEE 802.3 polynomial, the zlib/PNG variant), table-driven.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
+/// Input bytes one CRC step consumes (and tables it reads).
+const CRC_SLICE: usize = 16;
+
+/// The slicing tables: `t[0]` is the classic byte-at-a-time table and
+/// `t[k][b]` is the CRC state after byte `b` followed by `k` zero bytes, so
+/// [`CRC_SLICE`] table reads advance the state over as many input bytes at
+/// once.
+fn crc_tables() -> &'static [[u32; 256]; CRC_SLICE] {
+    static TABLES: OnceLock<[[u32; 256]; CRC_SLICE]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; CRC_SLICE];
+        for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -216,11 +222,35 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             }
             *slot = c;
         }
+        for k in 1..CRC_SLICE {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            }
+        }
         t
-    });
+    })
+}
+
+/// CRC32 (IEEE 802.3 polynomial, the zlib/PNG variant) by slicing: the
+/// state is folded into the first four bytes of a [`CRC_SLICE`]-byte step,
+/// every byte of the step indexes the table of its distance from the
+/// step's end, and the lookups — independent of each other — are xor-ed
+/// together. The tail runs byte by byte.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = crc_tables();
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut steps = bytes.chunks_exact(CRC_SLICE);
+    for step in &mut steps {
+        let state = crc.to_le_bytes();
+        crc = 0;
+        for (i, &b) in step.iter().enumerate() {
+            let b = if i < 4 { b ^ state[i] } else { b };
+            crc ^= t[CRC_SLICE - 1 - i][b as usize];
+        }
+    }
+    for &b in steps.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -259,17 +289,28 @@ impl Enc {
 
     /// Appends a `u32` array (elements only — callers record the count).
     pub fn u32_slice(&mut self, vs: &[u32]) {
-        self.buf.reserve(vs.len() * 4);
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
+        self.words(vs, |v| v.to_le_bytes());
     }
 
     /// Appends an `f32` array, bit patterns preserved exactly.
     pub fn f32_slice(&mut self, vs: &[f32]) {
+        self.words(vs, |v| v.to_le_bytes());
+    }
+
+    /// Reserves the array's bytes once, then converts block by block
+    /// through a small stack buffer (a straight copy on little-endian
+    /// targets) — no per-element capacity check, no zero-fill of the
+    /// destination.
+    fn words<T: Copy>(&mut self, vs: &[T], le: impl Fn(T) -> [u8; 4]) {
+        const BLOCK: usize = 1024;
         self.buf.reserve(vs.len() * 4);
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+        let mut stage = [0u8; BLOCK * 4];
+        for block in vs.chunks(BLOCK) {
+            let bytes = &mut stage[..block.len() * 4];
+            for (dst, &v) in bytes.chunks_exact_mut(4).zip(block) {
+                dst.copy_from_slice(&le(v));
+            }
+            self.buf.extend_from_slice(bytes);
         }
     }
 
@@ -361,20 +402,25 @@ impl<'a> Dec<'a> {
     /// against the remaining payload *before* allocating, so a corrupt
     /// count cannot trigger an absurd allocation.
     pub fn u32_vec(&mut self, count: usize) -> Result<Vec<u32>, SnapshotError> {
-        let bytes = self.take(count.checked_mul(4).ok_or(SnapshotError::Truncated)?)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(array(c)))
-            .collect())
+        self.words(count, u32::from_le_bytes)
     }
 
     /// Reads `count` little-endian `f32`s (bit patterns preserved exactly).
     pub fn f32_vec(&mut self, count: usize) -> Result<Vec<f32>, SnapshotError> {
+        self.words(count, f32::from_le_bytes)
+    }
+
+    /// Bounds-checks `count` 4-byte words, then converts them in one
+    /// `chunks_exact` pass into a vector allocated at its final size.
+    fn words<T>(
+        &mut self,
+        count: usize,
+        le: impl Fn([u8; 4]) -> T,
+    ) -> Result<Vec<T>, SnapshotError> {
         let bytes = self.take(count.checked_mul(4).ok_or(SnapshotError::Truncated)?)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(array(c)))
-            .collect())
+        let mut out = Vec::with_capacity(count);
+        out.extend(bytes.chunks_exact(4).map(|c| le([c[0], c[1], c[2], c[3]])));
+        Ok(out)
     }
 
     /// Reads `count` raw bytes.
@@ -413,10 +459,9 @@ impl SnapshotWriter {
         self.sections.push((name, payload));
     }
 
-    /// Serializes header + table + payloads.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let payload_total: usize = self.sections.iter().map(|(_, p)| p.len()).sum();
-        let mut out = Vec::with_capacity(20 + self.sections.len() * 32 + payload_total);
+    /// Header + section table (checksumming every payload).
+    fn header(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(20 + self.sections.len() * 32);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.kind as u32).to_le_bytes());
@@ -430,31 +475,50 @@ impl SnapshotWriter {
             out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
             out.extend_from_slice(&crc32_timed(payload).to_le_bytes());
         }
+        out
+    }
+
+    /// Serializes header + table + payloads.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = self.header();
+        out.reserve_exact(self.sections.iter().map(|(_, p)| p.len()).sum());
         for (_, payload) in &self.sections {
             out.extend_from_slice(payload);
         }
         out
     }
 
-    /// Writes the serialized snapshot to a file.
+    /// Writes the serialized snapshot to a file: the same bytes as
+    /// [`SnapshotWriter::to_bytes`], each payload handed to the file as it
+    /// is instead of first being copied into one contiguous buffer.
     pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.to_bytes())?;
+        let mut file = std::fs::File::create(path)?;
+        file.write_all(&self.header())?;
+        for (_, payload) in &self.sections {
+            file.write_all(payload)?;
+        }
         Ok(())
     }
 }
 
-/// A parsed, checksum-verified snapshot.
+/// A parsed, checksum-verified snapshot: the file's bytes in one owned
+/// buffer, and per section the range of its payload in it.
 pub struct Snapshot {
     version: u32,
     kind: SnapshotKind,
-    sections: Vec<(String, Vec<u8>)>,
+    bytes: Vec<u8>,
+    sections: Vec<(String, std::ops::Range<usize>)>,
 }
 
 impl Snapshot {
     /// Parses and verifies a serialized snapshot.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        Snapshot::parse(bytes.to_vec())
+    }
+
+    fn parse(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
         if bytes.len() < 8 {
-            return Err(if bytes == &MAGIC[..bytes.len()] {
+            return Err(if bytes == MAGIC[..bytes.len()] {
                 SnapshotError::Truncated
             } else {
                 SnapshotError::BadMagic
@@ -493,26 +557,28 @@ impl Snapshot {
         let metrics = StoreMetrics::get();
         let mut sections = Vec::with_capacity(count);
         for (name, len, crc) in table {
-            let payload = dec.take(len)?.to_vec();
+            let start = 8 + dec.pos;
+            let payload = dec.take(len)?;
             metrics.sections_read.incr();
             metrics.bytes_read.add(payload.len() as u64);
-            if crc32_timed(&payload) != crc {
+            if crc32_timed(payload) != crc {
                 return Err(SnapshotError::ChecksumMismatch { section: name });
             }
-            sections.push((name, payload));
+            sections.push((name, start..start + len));
         }
         dec.done()
             .map_err(|_| SnapshotError::Corrupt("trailing bytes after last section"))?;
         Ok(Snapshot {
             version,
             kind,
+            bytes,
             sections,
         })
     }
 
     /// Reads and verifies a snapshot file.
     pub fn read_from(path: &Path) -> Result<Self, SnapshotError> {
-        Snapshot::from_bytes(&std::fs::read(path)?)
+        Snapshot::parse(std::fs::read(path)?)
     }
 
     /// The file's format version.
@@ -542,13 +608,13 @@ impl Snapshot {
         self.sections
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, payload)| Dec::new(payload))
+            .map(|(_, range)| Dec::new(&self.bytes[range.clone()]))
             .ok_or(SnapshotError::MissingSection(name))
     }
 
     /// `(name, payload length)` of every section, in file order.
     pub fn section_summaries(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.sections.iter().map(|(n, p)| (n.as_str(), p.len()))
+        self.sections.iter().map(|(n, r)| (n.as_str(), r.len()))
     }
 }
 
@@ -868,6 +934,77 @@ mod tests {
         // Standard IEEE CRC32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time table walk the sliced loop replaced.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table = &crc_tables()[0];
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        /// Every length around the step width, at every start alignment
+        /// (the input is a sub-slice `align` bytes into an allocation).
+        #[test]
+        fn crc32_matches_the_bytewise_loop(
+            len in 0usize..4096,
+            align in 0usize..8,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut state = seed | 1;
+            let buf: Vec<u8> = (0..align + len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state >> 24) as u8
+                })
+                .collect();
+            let bytes = &buf[align..];
+            proptest::prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
+        }
+    }
+
+    #[test]
+    fn streamed_file_equals_serialized_bytes() {
+        let w = sample();
+        let path = tmp("streamed.lsnap");
+        w.write_to(&path).unwrap();
+        let on_disk = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(on_disk, w.to_bytes());
+    }
+
+    #[test]
+    fn bulk_word_codecs_roundtrip_across_the_staging_block() {
+        // Lengths on both sides of `Enc::words`' 1024-word staging block.
+        for n in [0usize, 1, 1023, 1024, 1025, 2500] {
+            let us: Vec<u32> = (0..n as u32)
+                .map(|i| i.wrapping_mul(2_654_435_761))
+                .collect();
+            let fs: Vec<f32> = us.iter().map(|&u| f32::from_bits(u)).collect();
+            let mut enc = Enc::new();
+            enc.u8(9); // knock the payload off 4-byte alignment
+            enc.u32_slice(&us);
+            enc.f32_slice(&fs);
+            let payload = enc.finish();
+            assert_eq!(payload.len(), 1 + 8 * n);
+            let per_element: Vec<u8> = us.iter().flat_map(|u| u.to_le_bytes()).collect();
+            assert_eq!(&payload[1..1 + 4 * n], per_element);
+            let mut dec = Dec::new(&payload);
+            assert_eq!(dec.u8().unwrap(), 9);
+            assert_eq!(dec.u32_vec(n).unwrap(), us);
+            let back = dec.f32_vec(n).unwrap();
+            assert!(back
+                .iter()
+                .zip(&fs)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            dec.done().unwrap();
+        }
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {

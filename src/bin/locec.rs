@@ -1091,8 +1091,8 @@ fn cmd_aggregate(p: &Parsed) -> Result<(), String> {
         labeled.len(),
         community_train.len(),
         train_dt.as_secs_f64(),
-        agg.embeddings.len(),
-        agg.embedding_dim,
+        agg.len(),
+        agg.embedding_dim(),
         infer_dt.as_secs_f64(),
         out_agg.display(),
         out_model.display()
@@ -1118,7 +1118,7 @@ fn cmd_train(p: &Parsed, report: &mut RunReport) -> Result<(), String> {
     let agg = load_aggregation(&p.path("agg")?).map_err(store_err)?;
     let out = p.path("out")?;
     let config = p.locec_config()?;
-    if agg.embeddings.len() != division.num_communities() {
+    if agg.len() != division.num_communities() {
         return Err("aggregation does not cover the division's communities".into());
     }
     if world.train_edges.is_empty() {
@@ -1139,6 +1139,12 @@ fn cmd_train(p: &Parsed, report: &mut RunReport) -> Result<(), String> {
         vobj(vec![
             ("edges", Value::Uint(world.train_edges.len() as u64)),
             ("features", Value::Uint(clf.model().num_features() as u64)),
+            // This process trains exactly one model, so the counter's total
+            // is this fit's epoch count.
+            (
+                "phase3.train_epochs",
+                Value::Uint(Recorder::global().snapshot().counter("phase3.train_epochs")),
+            ),
             ("wall_seconds", Value::Float(dt.as_secs_f64())),
         ]),
     );
@@ -1175,7 +1181,7 @@ fn cmd_classify(p: &Parsed, report: &mut RunReport) -> Result<(), String> {
     let clf = load_edge_model(&p.path("model")?).map_err(store_err)?;
     let out = p.path("out")?;
     let config = p.locec_config()?;
-    if agg.embeddings.len() != division.num_communities() {
+    if agg.len() != division.num_communities() {
         return Err("aggregation does not cover the division's communities".into());
     }
 
@@ -1549,8 +1555,8 @@ fn cmd_inspect(p: &Parsed) -> Result<(), String> {
                 let a = load_aggregation(path).map_err(store_err)?;
                 println!(
                     "  {} communities, embedding dim {}",
-                    a.embeddings.len(),
-                    a.embedding_dim
+                    a.len(),
+                    a.embedding_dim()
                 );
             }
             locec::store::SnapshotKind::CommunityModel => match load_community_model_kind(path)? {
