@@ -4,14 +4,14 @@
 //! Every table and figure of the paper has a binary in `src/bin/` that
 //! regenerates it: run `cargo run --release -p locec_bench --bin <id>`
 //! where `<id>` is `table1|table2|table4|table5|table6` or
-//! `fig2|fig3|fig4|fig5|fig10|fig11|fig12|fig13|fig14`. The
-//! `phase1_throughput` bin benchmarks the division pipeline against the
-//! preserved pre-optimization implementation and records the numbers in
-//! `BENCH_phase1.json`.
+//! `fig2|fig3|fig4|fig5|fig10|fig11|fig12|fig13|fig14`, or `ablation`.
+//! These bins reproduce the paper's *shapes*; performance is measured by
+//! the stand-alone benchmark (`benchmark/run.sh`, see `benchmark/README.md`).
 //!
 //! Scale is controlled by the `LOCEC_SCALE` environment variable:
 //! `tiny` (smoke test), `small`, `medium` (default), or `paper`
-//! (42k nodes, the paper's labeled-subgraph scale — slower).
+//! (42k nodes, the paper's labeled-subgraph scale — slower). Any other
+//! value is rejected.
 
 use locec_core::{CommunityModelKind, LocecConfig, LocecPipeline};
 use locec_graph::EdgeId;
@@ -36,13 +36,30 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `LOCEC_SCALE` (default [`Scale::Medium`]).
+    /// Reads `LOCEC_SCALE`; unset means [`Scale::Medium`]. A value that
+    /// names no scale ends the process with exit code 2 — falling back to
+    /// `medium` would turn a mistyped smoke run into minutes of work.
     pub fn from_env() -> Scale {
-        match std::env::var("LOCEC_SCALE").as_deref() {
-            Ok("tiny") => Scale::Tiny,
-            Ok("small") => Scale::Small,
-            Ok("paper") => Scale::Paper,
-            _ => Scale::Medium,
+        match std::env::var_os("LOCEC_SCALE") {
+            None => Ok(Scale::Medium),
+            Some(value) => Scale::parse(&value.to_string_lossy()),
+        }
+        .unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses a `LOCEC_SCALE` value.
+    fn parse(value: &str) -> Result<Scale, String> {
+        match value {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "medium" => Ok(Scale::Medium),
+            "paper" => Ok(Scale::Paper),
+            other => Err(format!(
+                "LOCEC_SCALE={other:?} is not a scale; expected tiny|small|medium|paper"
+            )),
         }
     }
 
@@ -234,6 +251,21 @@ mod tests {
         assert!(Scale::Tiny.config(0).num_users < Scale::Small.config(0).num_users);
         assert!(Scale::Small.config(0).num_users < Scale::Medium.config(0).num_users);
         assert!(Scale::Medium.config(0).num_users < Scale::Paper.config(0).num_users);
+    }
+
+    #[test]
+    fn scale_parser_accepts_the_four_names_and_rejects_the_rest() {
+        assert_eq!(Scale::parse("tiny"), Ok(Scale::Tiny));
+        assert_eq!(Scale::parse("small"), Ok(Scale::Small));
+        assert_eq!(Scale::parse("medium"), Ok(Scale::Medium));
+        assert_eq!(Scale::parse("paper"), Ok(Scale::Paper));
+        for bad in ["tiney", "", "Tiny", " tiny", "large"] {
+            let message = Scale::parse(bad).unwrap_err();
+            assert!(
+                message.contains("tiny|small|medium|paper"),
+                "{bad:?}: {message}"
+            );
+        }
     }
 
     #[test]

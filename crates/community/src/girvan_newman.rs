@@ -221,9 +221,8 @@ pub fn girvan_newman_with(
 }
 
 /// The original hash-map Girvan–Newman, kept verbatim as an executable
-/// specification of [`girvan_newman_with`] (and as the baseline side of the
-/// `phase1_throughput` benchmark). Property tests assert both return
-/// identical partitions on random graphs.
+/// specification of [`girvan_newman_with`]. Property tests assert both
+/// return identical partitions on random graphs.
 pub fn girvan_newman_reference(g: &CsrGraph, config: &GirvanNewmanConfig) -> Partition {
     let n = g.num_nodes();
     if n == 0 || g.num_edges() == 0 {
@@ -289,11 +288,6 @@ pub fn girvan_newman_reference(g: &CsrGraph, config: &GirvanNewmanConfig) -> Par
     }
 
     best_partition
-}
-
-/// Convenience wrapper with default configuration.
-pub fn girvan_newman_default(g: &CsrGraph) -> Partition {
-    girvan_newman(g, &GirvanNewmanConfig::default())
 }
 
 #[cfg(test)]

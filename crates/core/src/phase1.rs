@@ -19,7 +19,7 @@
 //! calls, so the steady-state per-ego pipeline performs no heap allocation
 //! beyond the result itself. The original thread-pool-per-call
 //! implementation is preserved in [`reference`] as an executable
-//! specification and benchmark baseline.
+//! specification.
 
 use crate::config::{CommunityDetector, LocecConfig};
 use crate::features::tightness;
@@ -408,13 +408,16 @@ pub fn divide_update_owned(
 /// Dirty-ego fraction above which the incremental path stops paying off
 /// and an update should fall back to a plain full [`divide`].
 ///
-/// `BENCH_update.json` (50k users, avg degree ≈ 25): the incremental path
+/// Measured on a 50k-user world (avg degree ≈ 25): the incremental path
 /// wins 11.3× at 0.01% churn and 2.1× at 0.1%, but once the dirty set
 /// saturates (99.5% of egos at 1% churn) it *loses* at 0.83× — it re-runs
 /// nearly every ego and pays the splice on top. The crossover sits near
 /// `dirty/n ≈ 0.8` (incremental ≈ full·fraction + splice overhead); 0.75
 /// leaves margin. Outputs are bit-identical either way — only wall time
-/// differs, so callers can switch freely.
+/// differs, so callers can switch freely. To re-measure, compare the
+/// per-layer `phase1.update_divide_s` (0.1% batches) and
+/// `phase1.update_1pct_s` against `phase1.divide_s` in a traced
+/// `benchmark/run.sh --workload update_stream --trace 1` run.
 pub const UPDATE_FULL_DIVIDE_FRACTION: f64 = 0.75;
 
 /// Whether an incremental update over `dirty_len` of `num_nodes` egos is
@@ -514,17 +517,6 @@ pub fn splice_ordered_chunk(communities: &mut Vec<LocalCommunity>, chunk: Vec<Lo
         "chunk ego range overlaps already-merged communities"
     );
     communities.splice(pos..pos, chunk);
-}
-
-/// Detects the local communities of one ego node (fresh scratch per call;
-/// the hot loop uses [`divide_one_with`]).
-pub fn divide_one(
-    graph: &CsrGraph,
-    ego: NodeId,
-    config: &LocecConfig,
-    out: &mut Vec<LocalCommunity>,
-) {
-    divide_one_with(graph, ego, config, &mut DivideScratch::default(), out)
 }
 
 /// Detects the local communities of one ego node using caller-owned scratch.

@@ -1,13 +1,12 @@
 //! The pre-optimization Phase I implementation, preserved verbatim as an
-//! executable specification and benchmark baseline.
+//! executable specification.
 //!
 //! This is the seed repository's `divide`: a scoped thread pool spawned per
 //! call, the `0..n` ego range statically sharded across threads, fresh
 //! allocations per ego network, hash-map Girvan–Newman
 //! ([`locec_community::girvan_newman_reference`]) and a `HashSet` tightness
 //! lookup. Property tests assert the production path in
-//! [`crate::phase1::divide`] produces identical results; the
-//! `phase1_throughput` bench bin measures the speedup against it.
+//! [`crate::phase1::divide`] produces identical results.
 
 use crate::config::{CommunityDetector, LocecConfig};
 use crate::features::tightness;

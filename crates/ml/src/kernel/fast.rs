@@ -1,4 +1,4 @@
-//! GEMM-backed convolution and dense ops — the default backend.
+//! GEMM-backed convolution and dense ops — what the `nn` layers run.
 //!
 //! Each op lowers to one or more calls of [`super::sgemm::sgemm`] arranged
 //! so every output element is a single flat fold over the same contraction

@@ -1,5 +1,5 @@
 //! The `locec_ml` math kernel: blocked GEMM, im2col lowerings, and the
-//! backend dispatch the `nn` layers compute through.
+//! conv/dense ops the `nn` layers compute through.
 //!
 //! # Structure
 //!
@@ -7,9 +7,11 @@
 //!   (see `sgemm.rs` for the blocking scheme).
 //! * [`im2col`] — the lowerings that turn stride-1 padded convolution into
 //!   matrix multiply (layouts documented there).
-//! * [`fast`] — the GEMM-backed conv/dense ops (default backend).
+//! * [`fast`] — the GEMM-backed conv/dense ops, re-exported here as
+//!   `kernel::{conv2d,dense}_{forward,backward}`: the only path a build runs.
 //! * [`reference`] — the seed's naive loops, preserved verbatim; the
 //!   semantics and *bit patterns* the fast paths are tested against.
+//!   Nothing outside tests calls them.
 //!
 //! # Bit-exactness contract
 //!
@@ -17,7 +19,7 @@
 //! results, up to the sign of zero in degenerate all-zero accumulations.
 //! This is engineered, not accidental:
 //!
-//! 1. **Same fold order.** Every output element in both backends is one
+//! 1. **Same fold order.** Every output element in both modules is one
 //!    flat left-fold over the contraction axis in the same ascending order
 //!    (GEMM `k` index = the reference's `(ci, ky, kx)` / `j` / `(co, ky,
 //!    kx)` loop nests, which iterate ascending). The GEMM never k-blocks,
@@ -56,40 +58,11 @@ pub mod im2col;
 pub mod reference;
 pub mod sgemm;
 
+pub use fast::{conv2d_backward, conv2d_forward, dense_backward, dense_forward};
+
 use crate::error::MlError;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Which implementation the dispatching ops route to.
-///
-/// The default is [`Backend::Fast`]; [`Backend::Reference`] exists for
-/// equivalence tests and as the measured baseline in `ml_throughput`.
-/// Because both backends are bit-identical (module docs), flipping the
-/// backend concurrently from another thread is benign.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// im2col + blocked GEMM (default).
-    Fast,
-    /// The preserved naive seed loops.
-    Reference,
-}
-
-static BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the process-wide compute backend.
-pub fn set_backend(b: Backend) {
-    BACKEND.store(b as u8, Ordering::Relaxed);
-}
-
-/// The currently selected compute backend.
-pub fn backend() -> Backend {
-    if BACKEND.load(Ordering::Relaxed) == 0 {
-        Backend::Fast
-    } else {
-        Backend::Reference
-    }
-}
 
 /// Reusable arena for fast-path temporaries. See the module docs for the
 /// lifetime contract; create one per worker / training loop and pass it to
@@ -313,81 +286,6 @@ pub(crate) fn with_im2col_timing<R>(f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Backend-dispatching convolution forward. `out` must hold
-/// `n·c_out·oh·ow` elements; fully overwritten.
-pub fn conv2d_forward(
-    g: &ConvGeom,
-    w: &[f32],
-    b: &[f32],
-    input: &[f32],
-    out: &mut [f32],
-    scratch: &mut Scratch,
-) {
-    match backend() {
-        Backend::Fast => fast::conv2d_forward(g, w, b, input, out, scratch),
-        Backend::Reference => reference::conv2d_forward(g, w, b, input, out),
-    }
-}
-
-/// Backend-dispatching convolution backward. `gin` must be zeroed;
-/// `gw`/`gb` are accumulated into.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_backward(
-    g: &ConvGeom,
-    w: &[f32],
-    input: &[f32],
-    gout: &[f32],
-    gin: &mut [f32],
-    gw: &mut [f32],
-    gb: &mut [f32],
-    scratch: &mut Scratch,
-) {
-    match backend() {
-        Backend::Fast => fast::conv2d_backward(g, w, input, gout, gin, gw, gb, scratch),
-        Backend::Reference => reference::conv2d_backward(g, w, input, gout, gin, gw, gb),
-    }
-}
-
-/// Backend-dispatching dense forward. `out` must hold `n·dout` elements;
-/// fully overwritten.
-#[allow(clippy::too_many_arguments)]
-pub fn dense_forward(
-    n: usize,
-    din: usize,
-    dout: usize,
-    w: &[f32],
-    b: &[f32],
-    input: &[f32],
-    out: &mut [f32],
-    scratch: &mut Scratch,
-) {
-    match backend() {
-        Backend::Fast => fast::dense_forward(n, din, dout, w, b, input, out, scratch),
-        Backend::Reference => reference::dense_forward(n, din, dout, w, b, input, out),
-    }
-}
-
-/// Backend-dispatching dense backward. `gin` must be zeroed; `gw`/`gb` are
-/// accumulated into.
-#[allow(clippy::too_many_arguments)]
-pub fn dense_backward(
-    n: usize,
-    din: usize,
-    dout: usize,
-    w: &[f32],
-    input: &[f32],
-    gout: &[f32],
-    gin: &mut [f32],
-    gw: &mut [f32],
-    gb: &mut [f32],
-    scratch: &mut Scratch,
-) {
-    match backend() {
-        Backend::Fast => fast::dense_backward(n, din, dout, w, input, gout, gin, gw, gb, scratch),
-        Backend::Reference => reference::dense_backward(n, din, dout, w, input, gout, gin, gw, gb),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,14 +433,5 @@ mod tests {
         assert!(e.to_string().contains("larger than padded input"));
         // Padding can rescue a kernel larger than the raw input.
         assert!(ConvGeom::validate("op", &[1, 1, 2, 2], 1, 1, 3, 3, 1, 1).is_ok());
-    }
-
-    #[test]
-    fn backend_toggle_roundtrips() {
-        assert_eq!(backend(), Backend::Fast);
-        set_backend(Backend::Reference);
-        assert_eq!(backend(), Backend::Reference);
-        set_backend(Backend::Fast);
-        assert_eq!(backend(), Backend::Fast);
     }
 }

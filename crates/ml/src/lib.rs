@@ -18,10 +18,11 @@
 //! * **matrix factorization** for the Economix baseline — [`mf`].
 //!
 //! The [`nn`] layers compute through the [`kernel`] module — a blocked,
-//! cache-tiled GEMM with im2col lowering for convolution, plus the
-//! preserved naive loops as [`kernel::reference`]; the two backends are
-//! bit-identical for finite data (see the kernel docs). Data-dependent
-//! failures surface as typed [`MlError`]s rather than panics.
+//! cache-tiled GEMM with im2col lowering for convolution. The naive loops
+//! it replaced are preserved as [`kernel::reference`], the oracle the tests
+//! hold the GEMM path to, bit for bit on finite data (see the kernel docs);
+//! no layer calls them. Data-dependent failures surface as typed
+//! [`MlError`]s rather than panics.
 //!
 //! Shared infrastructure: [`minhash`] (ProbWP's structural similarity),
 //! [`metrics`] (precision/recall/F1, the paper's evaluation metric), and
@@ -41,7 +42,7 @@ pub mod tensor;
 pub use data::Dataset;
 pub use error::MlError;
 pub use gbdt::{Gbdt, GbdtConfig};
-pub use kernel::{Backend, Scratch};
+pub use kernel::Scratch;
 pub use linear::{LogisticRegression, LogisticRegressionConfig};
 pub use metrics::{evaluate, ClassMetrics, Evaluation};
 pub use mf::{MatrixFactorization, MfConfig};

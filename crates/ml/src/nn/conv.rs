@@ -6,9 +6,9 @@
 //! one feature across all members, and 1×1 kernels after the wide/long
 //! branches. All are stride-1 instances of this layer.
 //!
-//! The compute lives in [`crate::kernel`]: the default backend lowers each
-//! sample with im2col and runs the blocked GEMM; `kernel::reference` keeps
-//! the original loop nests, bit-identical to the fast path.
+//! The compute lives in [`crate::kernel`], which lowers each sample with
+//! im2col and runs the blocked GEMM; `kernel::reference` keeps the original
+//! loop nests as the test oracle, bit-identical to that path.
 
 use super::{he_normal, Layer};
 use crate::error::MlError;

@@ -2,8 +2,9 @@
 //!
 //! CommCNN ends in two fully connected layers before the softmax (paper
 //! Fig. 8); [`Flatten`] bridges the convolutional NCHW world to them. The
-//! dense forward/backward math runs through [`crate::kernel`] (GEMM on the
-//! default backend, the preserved loops on `kernel::reference`).
+//! dense forward/backward math runs through [`crate::kernel`] (one GEMM
+//! per call; `kernel::reference` keeps the original loops as the test
+//! oracle).
 
 use super::{dims2, xavier_uniform, Layer};
 use crate::error::MlError;

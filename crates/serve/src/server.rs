@@ -128,12 +128,6 @@ impl Server {
         self.shared.stop.store(true, Ordering::SeqCst);
     }
 
-    /// A clone of the stop trigger, usable from another thread.
-    pub fn stop_handle(&self) -> Arc<dyn Fn() + Send + Sync> {
-        let shared = Arc::clone(&self.shared);
-        Arc::new(move || shared.stop.store(true, Ordering::SeqCst))
-    }
-
     /// Serves until stopped. Joins every handler thread before returning,
     /// so all in-flight requests complete.
     pub fn run(&self) -> Result<ServeSummary, ServeError> {

@@ -372,48 +372,6 @@ mod tests {
         );
     }
 
-    /// The fast GEMM backend must leave no trace in persisted artifacts:
-    /// training the same seeded CommCNN under `Backend::Reference` (the
-    /// seed repo's naive loops) and `Backend::Fast` must serialize to
-    /// byte-identical snapshots — the on-disk form of the kernel module's
-    /// bitwise-equivalence contract. Debug builds only: release runs skip
-    /// the doubled training cost.
-    #[cfg(debug_assertions)]
-    #[test]
-    fn cnn_snapshot_bytes_are_backend_invariant() {
-        use locec_ml::kernel::{set_backend, Backend};
-
-        let train_and_save = |name: &str, backend: Backend| {
-            set_backend(backend);
-            let config = CommCnnConfig::fast();
-            let mut cnn = CommCnn::new(8, 12, 3, &config);
-            let xs: Vec<Tensor> = (0..6)
-                .map(|i| {
-                    let mut t = Tensor::zeros(&[8, 12]);
-                    t.data_mut()[i * 5] = 1.0;
-                    t.data_mut()[i * 7 + 3] = 0.5;
-                    t
-                })
-                .collect();
-            let ys = vec![0, 1, 2, 0, 1, 2];
-            cnn.train(&xs, &ys);
-            let mut model = CommunityClassifier::Cnn(Box::new(cnn));
-            let path = tmp(name);
-            save_community_model(&path, &mut model).unwrap();
-            let bytes = std::fs::read(&path).unwrap();
-            std::fs::remove_file(&path).ok();
-            bytes
-        };
-
-        let reference = train_and_save("cnn_ref.lsnap", Backend::Reference);
-        let fast = train_and_save("cnn_fast.lsnap", Backend::Fast);
-        set_backend(Backend::Fast);
-        assert_eq!(
-            reference, fast,
-            "trained CommCNN snapshot bytes differ between kernel backends"
-        );
-    }
-
     #[test]
     fn edge_model_roundtrips_bit_identically() {
         let data = Dataset::from_rows(

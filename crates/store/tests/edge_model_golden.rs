@@ -1,4 +1,4 @@
-//! Golden digest of a trained edge model's snapshot.
+//! Golden digests of trained models' snapshots.
 //!
 //! Phase III training runs as blocked GEMMs; its contract is that the
 //! fitted parameters are bit-identical to the per-sample formulation it
@@ -6,19 +6,63 @@
 //! data; this test pins the whole chain — Eq. 4 features, fit, snapshot
 //! encoding — to the digest the per-sample implementation produced on a
 //! fixed world, so a change to any link that moves one model bit fails here.
+//!
+//! The CommCNN case does the same for the neural layers: the digest is the
+//! one a seeded CommCNN trained through `kernel::reference` (the naive
+//! loops) serialised to, which the GEMM path must go on reproducing.
 
 use locec_core::ground_truth::community_ground_truth;
 use locec_core::phase1::divide;
 use locec_core::phase2::CommunityClassifier;
 use locec_core::phase3::EdgeClassifier;
-use locec_core::{CommunityModelKind, LocecConfig};
+use locec_core::{CommCnn, CommCnnConfig, CommunityModelKind, LocecConfig};
+use locec_ml::Tensor;
 use locec_store::format::crc32;
-use locec_store::save_edge_model;
+use locec_store::{save_community_model, save_edge_model};
 use locec_synth::{Scenario, SynthConfig};
+use std::path::Path;
 
 /// CRC32 of the edge-model snapshot written at the commit before training
 /// moved onto the GEMM kernel.
 const GOLDEN_EDGE_MODEL_CRC32: u32 = 0xe60a_55a6;
+
+/// CRC32 of the CommCNN snapshot written at the last commit that could
+/// still route the layers through `kernel::reference`; it was the same
+/// under both routes, in debug and release builds.
+const GOLDEN_CNN_MODEL_CRC32: u32 = 0xf93b_3461;
+
+/// CRC32 of the snapshot file `save` writes.
+fn saved_crc32(name: &str, save: impl FnOnce(&Path)) -> u32 {
+    let path =
+        std::env::temp_dir().join(format!("locec_golden_{name}_{}.lsnap", std::process::id()));
+    save(&path);
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    crc32(&bytes)
+}
+
+#[test]
+fn cnn_model_snapshot_matches_the_golden_digest() {
+    let mut cnn = CommCnn::new(8, 12, 3, &CommCnnConfig::fast());
+    let xs: Vec<Tensor> = (0..6)
+        .map(|i| {
+            let mut t = Tensor::zeros(&[8, 12]);
+            t.data_mut()[i * 5] = 1.0;
+            t.data_mut()[i * 7 + 3] = 0.5;
+            t
+        })
+        .collect();
+    cnn.train(&xs, &[0, 1, 2, 0, 1, 2]);
+    let mut model = CommunityClassifier::Cnn(Box::new(cnn));
+
+    let digest = saved_crc32("cnn", |path| {
+        save_community_model(path, &mut model).unwrap()
+    });
+    assert_eq!(
+        digest, GOLDEN_CNN_MODEL_CRC32,
+        "CommCNN snapshot bytes moved (crc32 {digest:#010x})"
+    );
+}
 
 #[test]
 fn edge_model_snapshot_matches_the_golden_digest() {
@@ -45,14 +89,9 @@ fn edge_model_snapshot_matches_the_golden_digest() {
         &config.lr,
     );
 
-    let path = std::env::temp_dir().join(format!("locec_golden_edge_{}.lsnap", std::process::id()));
-    save_edge_model(&path, &clf).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
+    let digest = saved_crc32("edge", |path| save_edge_model(path, &clf).unwrap());
     assert_eq!(
-        crc32(&bytes),
-        GOLDEN_EDGE_MODEL_CRC32,
-        "edge-model snapshot bytes moved (crc32 {:#010x})",
-        crc32(&bytes)
+        digest, GOLDEN_EDGE_MODEL_CRC32,
+        "edge-model snapshot bytes moved (crc32 {digest:#010x})"
     );
 }
