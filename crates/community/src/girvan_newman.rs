@@ -9,36 +9,52 @@
 //!
 //! Complexity is `O(m² n)` worst case, acceptable because ego networks are
 //! small (paper Fig. 10a: median community size 8, 90% below 30 members).
-//! The production path ([`girvan_newman_with`]) is engineered for Phase I
-//! throughput:
 //!
-//! * betweenness scores live in a flat `Vec<f64>` indexed by the graph's
-//!   [`EdgeId`]s (plus an `alive` bitmask) — the max-edge scan and the
-//!   incremental rescore are pure array arithmetic, no hash maps;
-//! * after a removal, betweenness is recomputed only from the nodes of the
-//!   component(s) the removed edge belonged to, read off the component
-//!   member lists that connected-components labelling already produced —
-//!   not a full `0..n` scan per removal;
-//! * every buffer (mutable graph, Brandes workspace, component tables)
-//!   lives in a caller-owned [`GnScratch`], so one worker detecting
-//!   communities in millions of ego networks allocates only when an ego
-//!   network outgrows every predecessor;
-//! * the loop stops early once every component is smaller than
-//!   [`GirvanNewmanConfig::min_split_size`], since no better modularity can
-//!   be found by splitting further in LoCEC's regime.
+//! There is one production implementation, [`girvan_newman_with`], and one
+//! oracle, [`girvan_newman_reference`] (the original hash-map formulation,
+//! kept verbatim as the executable specification). Property tests and a
+//! golden division digest (`crates/store/tests/division_golden.rs`) hold
+//! the two to identical partitions.
 //!
-//! [`girvan_newman_reference`] preserves the original hash-map formulation
-//! as an executable specification; property tests assert the fast path
-//! returns identical partitions.
+//! # How the production path works
+//!
+//! The work graph is a [`BitGraph`]: one word-bitset row per node, for
+//! every graph size. Removing an edge clears two bits; a component is a
+//! mask found by flooding rows; betweenness is Brandes over
+//! shortest-path-DAG edges only (see [`crate::betweenness`] for the kernel
+//! and the ordering invariant that keeps its scores bit-identical to the
+//! oracle's). Around it the loop does only what a removal can change:
+//!
+//! * **The arg-max** scans a compact list of the live edge ids. The order
+//!   `(score, then smallest canonical endpoint pair)` is total, so the
+//!   list's own order — it is `swap_remove`d — cannot change the winner.
+//! * **A removal that splits nothing** (three in five) leaves the partition
+//!   as it was, so its modularity is the same `f64` to the bit, `best_q`
+//!   cannot move and the early-exit test reads as before: labels,
+//!   modularity and the split test are skipped outright. Whether it split
+//!   is read off the flood from one endpoint, whose mask is also the set of
+//!   sources whose shortest paths the removal can have changed.
+//! * **A removal that splits** a component relabels in place — the half
+//!   that lost the component's smallest node takes the next label after
+//!   every component that starts below it, later labels shift up by one,
+//!   which is exactly the canonical smallest-member numbering a fresh
+//!   labelling would give — and evaluates [`modularity_of_labels`] with the
+//!   same fold as ever.
+//! * **Betweenness** is then recomputed from the members of the affected
+//!   component(s) only, ascending, into zeroed slots — the same addends in
+//!   the same order as a full recomputation gives those edges.
+//! * The loop stops early once every component is smaller than
+//!   [`GirvanNewmanConfig::min_split_size`].
+//!
+//! Every buffer lives in a caller-owned [`GnScratch`], so one worker
+//! detecting communities in millions of ego networks allocates only when
+//! an ego network outgrows every predecessor.
 
-use crate::betweenness::{edge_betweenness_flat_into, edge_betweenness_from, BrandesWorkspace};
+use crate::betweenness::{edge_betweenness_from, has_bit, set_bits, BitGraph};
 use crate::modularity::{modularity, modularity_of_labels};
 use crate::partition::Partition;
-use locec_graph::{
-    connected_components, connected_components_into, group_members, CsrGraph, EdgeId, MutableGraph,
-    NodeId,
-};
-use std::collections::{HashMap, VecDeque};
+use locec_graph::{connected_components, CsrGraph, EdgeId, MutableGraph, NodeId};
+use std::collections::HashMap;
 
 /// Tuning knobs for [`girvan_newman`].
 #[derive(Clone, Debug)]
@@ -64,23 +80,24 @@ impl Default for GirvanNewmanConfig {
 /// thread makes repeated GN runs allocation-free in steady state.
 #[derive(Clone, Debug, Default)]
 pub struct GnScratch {
-    /// Mutable copy of the input graph that edges are removed from.
-    work: MutableGraph,
-    /// Brandes per-source state.
-    ws: BrandesWorkspace,
+    /// Edges the last run removed.
+    pub removals: u64,
+    /// Removals of the last run that split a component.
+    pub splits: u64,
+    /// Sources the last run ran Brandes from, the initial full pass
+    /// included.
+    pub brandes_sources: u64,
+    /// The work graph edges are removed from, and the Brandes state.
+    bits: BitGraph,
     /// Flat betweenness scores indexed by `EdgeId`.
     scores: Vec<f64>,
-    /// Whether each edge is still present in `work`.
-    alive: Vec<bool>,
-    /// Component labels after the latest removal.
+    /// Ids of the edges still present, in no particular order.
+    live: Vec<EdgeId>,
+    /// Canonical component labels after the latest removal.
     labels: Vec<u32>,
-    /// BFS queue for component labelling.
-    queue: VecDeque<NodeId>,
-    /// CSR-style component member table (offsets into `comp_members`).
-    comp_offsets: Vec<u32>,
-    comp_members: Vec<NodeId>,
-    /// Ascending union of the two affected components' members.
-    affected: Vec<NodeId>,
+    /// Component masks of the removed edge's two endpoints.
+    side_u: Vec<u64>,
+    side_v: Vec<u64>,
     /// Modularity accumulators (per-community intra-edge and degree sums).
     intra: Vec<f64>,
     degree_sum: Vec<f64>,
@@ -101,120 +118,114 @@ pub fn girvan_newman_with(
     config: &GirvanNewmanConfig,
     scratch: &mut GnScratch,
 ) -> Partition {
+    let s = scratch;
+    (s.removals, s.splits, s.brandes_sources) = (0, 0, 0);
     let n = g.num_nodes();
     if n == 0 || g.num_edges() == 0 {
         return Partition::singletons(n);
     }
-    let m = g.num_edges();
+    s.bits.load(g);
 
-    let s = scratch;
-    s.work.rebuild_from_csr(g);
-
-    // Initial components and betweenness over the full graph. Component
-    // labels are already dense and canonical, so they are usable directly
-    // as a partition's labels — `Partition::from_labels` is only invoked
-    // when a new best is found.
-    let num_comp = connected_components_into(&s.work, &mut s.labels, &mut s.queue);
+    // Initial components, labelled in smallest-member order: dense and
+    // canonical, so usable directly as a partition's labels.
+    // `Partition::from_labels` is only invoked when a new best is found.
+    const UNLABELLED: u32 = u32::MAX;
+    s.labels.clear();
+    s.labels.resize(n, UNLABELLED);
+    let mut num_comp = 0usize;
+    // Components of at least `min_split_size` nodes; the loop ends at zero.
+    let mut splittable = 0usize;
+    for start in 0..n {
+        if s.labels[start] != UNLABELLED {
+            continue;
+        }
+        s.bits.component_of(start, &mut s.side_u);
+        let mut size = 0usize;
+        for x in set_bits(&s.side_u) {
+            s.labels[x] = num_comp as u32;
+            size += 1;
+        }
+        splittable += usize::from(size >= config.min_split_size);
+        num_comp += 1;
+    }
     let mut best_partition = Partition::from_labels(&s.labels);
     let mut best_q = modularity_of_labels(g, &s.labels, num_comp, &mut s.intra, &mut s.degree_sum);
 
     s.scores.clear();
-    s.scores.resize(m, 0.0);
-    s.alive.clear();
-    s.alive.resize(m, true);
-    edge_betweenness_flat_into(&s.work, None, &mut s.scores, &mut s.ws);
+    s.scores.resize(g.num_edges(), 0.0);
+    s.live.clear();
+    s.live.extend((0..g.num_edges() as u32).map(EdgeId));
+    for source in 0..n {
+        s.bits.accumulate_from(source, &mut s.scores);
+    }
+    s.brandes_sources += n as u64;
 
-    let mut removals = 0usize;
-    while s.work.num_edges() > 0 && removals < config.max_removals {
+    while !s.live.is_empty() && s.removals < config.max_removals as u64 {
         // Pick the max-betweenness live edge; ties break toward the
         // smallest canonical endpoint pair, keeping runs reproducible and
         // matching the reference implementation's ordering.
-        let mut best_edge: Option<EdgeId> = None;
-        for e in 0..m {
-            if !s.alive[e] {
-                continue;
+        let mut best = 0usize;
+        for i in 1..s.live.len() {
+            let (eb, ei) = (s.live[best], s.live[i]);
+            let (sb, si) = (s.scores[eb.index()], s.scores[ei.index()]);
+            if si > sb || (si == sb && g.endpoints(ei) < g.endpoints(eb)) {
+                best = i;
             }
-            let better = match best_edge {
-                None => true,
-                Some(b) => {
-                    let (sb, se) = (s.scores[b.index()], s.scores[e]);
-                    se > sb || (se == sb && g.endpoints(EdgeId(e as u32)) < g.endpoints(b))
-                }
+        }
+        let (u, v) = g.endpoints(s.live.swap_remove(best));
+        let (u, v) = (u.index(), v.index());
+        s.bits.remove_edge(u, v);
+        s.removals += 1;
+
+        // `side_u` becomes the node set whose shortest paths the removal
+        // can have changed: the component (u ∪ v) was before it.
+        s.bits.component_of(u, &mut s.side_u);
+        if !has_bit(&s.side_u, v) {
+            s.splits += 1;
+            s.bits.component_of(v, &mut s.side_v);
+            let first = |side: &[u64]| set_bits(side).next().expect("a side holds its endpoint");
+            let (first_u, first_v) = (first(&s.side_u), first(&s.side_v));
+            let (moved, moved_first) = if first_u < first_v {
+                (&s.side_v, first_v)
+            } else {
+                (&s.side_u, first_u)
             };
-            if better {
-                best_edge = Some(EdgeId(e as u32));
+            // Labels follow smallest members, so the components starting
+            // below `moved_first` are exactly those of the nodes below it.
+            let label = 1 + *s.labels[..moved_first]
+                .iter()
+                .max()
+                .expect("the kept side starts below the moved one");
+            for l in s.labels.iter_mut() {
+                *l += u32::from(*l >= label);
+            }
+            for x in set_bits(moved) {
+                s.labels[x] = label;
+            }
+            num_comp += 1;
+
+            let q = modularity_of_labels(g, &s.labels, num_comp, &mut s.intra, &mut s.degree_sum);
+            if q > best_q + 1e-12 {
+                best_q = q;
+                best_partition = Partition::from_labels(&s.labels);
+            }
+
+            let (size_u, size_v) = (set_bits(&s.side_u).count(), set_bits(&s.side_v).count());
+            let min = config.min_split_size;
+            splittable += usize::from(size_u >= min) + usize::from(size_v >= min);
+            splittable -= usize::from(size_u + size_v >= min);
+
+            for (a, b) in s.side_u.iter_mut().zip(&s.side_v) {
+                *a |= b;
             }
         }
-        let Some(edge) = best_edge else { break };
-        let (u, v) = g.endpoints(edge);
-
-        s.work.remove_edge(u, v);
-        s.alive[edge.index()] = false;
-        removals += 1;
-
-        let num_comp = connected_components_into(&s.work, &mut s.labels, &mut s.queue);
-        let q = modularity_of_labels(g, &s.labels, num_comp, &mut s.intra, &mut s.degree_sum);
-        if q > best_q + 1e-12 {
-            best_q = q;
-            best_partition = Partition::from_labels(&s.labels);
-        }
-
-        // Component member lists (CSR layout, ascending node order within
-        // each component — `connected_components` labels follow node order).
-        group_members(
-            &s.labels,
-            num_comp,
-            &mut s.comp_offsets,
-            &mut s.comp_members,
-        );
 
         // Early exit: all components below the split threshold.
-        let all_small = (0..num_comp)
-            .all(|c| (s.comp_offsets[c + 1] - s.comp_offsets[c]) < config.min_split_size as u32);
-        if all_small {
+        if splittable == 0 {
             break;
         }
 
-        // Recompute betweenness only inside the affected component(s): the
-        // nodes that were in (u ∪ v)'s component before removal are exactly
-        // the union of u's and v's components after removal. Read them off
-        // the member lists instead of scanning every node, and merge to
-        // ascending node order so the source iteration (and therefore the
-        // floating-point accumulation) matches a full recomputation.
-        let cu = s.labels[u.index()] as usize;
-        let cv = s.labels[v.index()] as usize;
-        s.affected.clear();
-        let members = |c: usize| (s.comp_offsets[c] as usize)..(s.comp_offsets[c + 1] as usize);
-        if cu == cv {
-            s.affected.extend_from_slice(&s.comp_members[members(cu)]);
-        } else {
-            let (mut i, mut j) = (members(cu).start, members(cv).start);
-            let (iend, jend) = (members(cu).end, members(cv).end);
-            while i < iend && j < jend {
-                if s.comp_members[i] < s.comp_members[j] {
-                    s.affected.push(s.comp_members[i]);
-                    i += 1;
-                } else {
-                    s.affected.push(s.comp_members[j]);
-                    j += 1;
-                }
-            }
-            s.affected.extend_from_slice(&s.comp_members[i..iend]);
-            s.affected.extend_from_slice(&s.comp_members[j..jend]);
-        }
-
-        // Zero the stale scores of every live edge inside the affected node
-        // set (any edge incident to an affected node has both endpoints in
-        // the same component, hence both affected), then accumulate fresh
-        // contributions from the affected sources.
-        for &w in &s.affected {
-            for (&x, &e) in s.work.neighbors(w).iter().zip(s.work.neighbor_edge_ids(w)) {
-                if w < x {
-                    s.scores[e.index()] = 0.0;
-                }
-            }
-        }
-        edge_betweenness_flat_into(&s.work, Some(&s.affected), &mut s.scores, &mut s.ws);
+        s.brandes_sources += s.bits.rescore(&s.side_u, &mut s.scores);
     }
 
     best_partition
@@ -440,5 +451,96 @@ mod tests {
         // Must terminate and return a valid partition.
         let p = gn_checked(&g, &cfg);
         assert_eq!(p.num_nodes(), 4);
+    }
+
+    #[test]
+    fn max_removals_hit_on_a_non_splitting_removal() {
+        // Two 4-cliques joined by two links: the first removals split
+        // nothing, so every cap below the first split stops on the
+        // skip-the-bookkeeping path and must still return the oracle's
+        // answer (the initial partition).
+        let mut edges = vec![(3, 4), (0, 7)];
+        for base in [0u32, 4] {
+            for i in 0..4u32 {
+                for j in (i + 1)..4 {
+                    edges.push((base + i, base + j));
+                }
+            }
+        }
+        let g = build(8, &edges);
+        let mut scratch = GnScratch::default();
+        for max_removals in 0..=4 {
+            let cfg = GirvanNewmanConfig {
+                max_removals,
+                ..Default::default()
+            };
+            let p = girvan_newman_with(&g, &cfg, &mut scratch);
+            assert_eq!(p, girvan_newman_reference(&g, &cfg), "cap {max_removals}");
+            assert_eq!(scratch.removals, max_removals as u64);
+            if max_removals < 2 {
+                assert_eq!(scratch.splits, 0);
+                assert_eq!(p.num_communities(), 1);
+            }
+        }
+    }
+
+    #[test]
+    fn min_split_size_above_two_matches_the_reference() {
+        // A path of triangles and pendant nodes: thresholds 3..=9 stop the
+        // loop at different depths, including before the first split
+        // (threshold above every component) and on the very first removal.
+        let g = build(
+            10,
+            &[
+                (0, 1),
+                (1, 2),
+                (0, 2),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (3, 5),
+                (5, 6),
+                (6, 7),
+                (7, 8),
+                (6, 8),
+                (8, 9),
+            ],
+        );
+        let mut scratch = GnScratch::default();
+        for min_split_size in 2..=11 {
+            let cfg = GirvanNewmanConfig {
+                min_split_size,
+                ..Default::default()
+            };
+            let p = girvan_newman_with(&g, &cfg, &mut scratch);
+            assert_eq!(
+                p,
+                girvan_newman_reference(&g, &cfg),
+                "min_split_size {min_split_size}"
+            );
+        }
+        // Above the whole graph's size the loop ends on its first removal.
+        assert_eq!(scratch.removals, 1);
+    }
+
+    #[test]
+    fn work_counters_describe_the_last_run() {
+        // Barbell: the bridge goes first and splits; then each triangle
+        // loses its three edges, the second and third removal of each
+        // splitting off a node.
+        let g = build(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]);
+        let mut scratch = GnScratch::default();
+        girvan_newman_with(&g, &GirvanNewmanConfig::default(), &mut scratch);
+        assert_eq!(scratch.removals, 7);
+        assert_eq!(scratch.splits, 5);
+        // 6 up front, 6 after the bridge, then per triangle 3 + 3 (the
+        // last removal leaves singletons only and stops the loop).
+        assert!(scratch.brandes_sources >= 6 + 6);
+        // An edgeless run resets them.
+        girvan_newman_with(&build(3, &[]), &GirvanNewmanConfig::default(), &mut scratch);
+        assert_eq!(
+            (scratch.removals, scratch.splits, scratch.brandes_sources),
+            (0, 0, 0)
+        );
     }
 }

@@ -21,10 +21,7 @@ pub mod louvain;
 pub mod modularity;
 pub mod partition;
 
-pub use betweenness::{
-    edge_betweenness, edge_betweenness_flat, edge_betweenness_flat_into, edge_betweenness_from,
-    BrandesWorkspace,
-};
+pub use betweenness::{edge_betweenness, edge_betweenness_flat, edge_betweenness_from};
 pub use girvan_newman::{
     girvan_newman, girvan_newman_reference, girvan_newman_with, GirvanNewmanConfig, GnScratch,
 };

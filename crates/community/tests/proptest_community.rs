@@ -5,7 +5,7 @@ use locec_community::{
     girvan_newman_reference, girvan_newman_with, label_propagation, louvain, modularity,
     GirvanNewmanConfig, GnScratch, Partition,
 };
-use locec_graph::{connected_components, CsrGraph, GraphBuilder, MutableGraph, NodeId};
+use locec_graph::{connected_components, CsrGraph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 
 fn random_graph() -> impl Strategy<Value = CsrGraph> {
@@ -22,11 +22,91 @@ fn random_graph() -> impl Strategy<Value = CsrGraph> {
     })
 }
 
+/// Graphs whose node ids straddle the bitset word boundaries: `n` is one
+/// of 63, 64, 65, 127, 128, 129 or 200, the nodes are cut into planted
+/// cliques of 6–15 (consecutive ids, so cliques span words) and a few
+/// sparse cross links join them — the shape that dominates synthetic ego
+/// networks. The 2–20-node strategy above never leaves word 0.
+fn word_boundary_graph() -> impl Strategy<Value = CsrGraph> {
+    (0usize..7).prop_flat_map(|pick| {
+        let n = [63usize, 64, 65, 127, 128, 129, 200][pick];
+        (
+            proptest::collection::vec(6usize..=15, n / 6 + 1),
+            proptest::collection::vec((0..n as u32, 0..n as u32), 0..=12),
+            // Drop a few clique edges so circles are dense, not complete.
+            proptest::collection::vec((0..n as u32, 0..15u32), 0..=20),
+        )
+            .prop_map(move |(sizes, links, holes)| {
+                let mut b = GraphBuilder::new(n);
+                let hole = |u: u32, v: u32| holes.iter().any(|&(a, d)| a == u && a + d + 1 == v);
+                let mut start = 0usize;
+                for size in sizes {
+                    let end = (start + size).min(n);
+                    for u in start..end {
+                        for v in (u + 1)..end {
+                            if !hole(u as u32, v as u32) {
+                                b.add_edge(NodeId(u as u32), NodeId(v as u32));
+                            }
+                        }
+                    }
+                    start = end;
+                }
+                for (u, v) in links {
+                    if u != v {
+                        b.add_edge(NodeId(u), NodeId(v));
+                    }
+                }
+                b.build()
+            })
+    })
+}
+
+/// The production kernel's scores equal the hash-map oracle's bit for bit
+/// (same accumulation order, exact halving), from every source and from
+/// one component's nodes only (the Girvan–Newman incremental path).
+fn assert_flat_equals_reference(g: &CsrGraph) {
+    // The component of the last node: on the word-boundary graphs it lives
+    // in the highest word.
+    let cc = connected_components(g);
+    let last = NodeId(g.num_nodes() as u32 - 1);
+    let component: Vec<NodeId> = g
+        .nodes()
+        .filter(|&v| cc.component(v) == cc.component(last))
+        .collect();
+    for sources in [None, Some(component.as_slice())] {
+        let flat = edge_betweenness_flat(g, sources);
+        let reference = edge_betweenness_from(g, sources);
+        prop_assert_eq!(flat.len(), g.num_edges());
+        for (e, u, v) in g.edges() {
+            let want = reference.get(&(u, v)).copied().unwrap_or(0.0);
+            prop_assert_eq!(
+                flat[e.index()].to_bits(),
+                want.to_bits(),
+                "edge ({}, {}), restricted sources: {}",
+                u,
+                v,
+                sources.is_some()
+            );
+        }
+    }
+}
+
+fn assert_gn_equals_reference(g: &CsrGraph) {
+    let config = GirvanNewmanConfig::default();
+    let fast = girvan_newman(g, &config);
+    let reference = girvan_newman_reference(g, &config);
+    prop_assert_eq!(&fast, &reference);
+    // A warm scratch must not change the answer either.
+    let mut scratch = GnScratch::default();
+    girvan_newman_with(g, &config, &mut scratch);
+    let warm = girvan_newman_with(g, &config, &mut scratch);
+    prop_assert_eq!(&warm, &reference);
+}
+
 proptest! {
     #[test]
     fn betweenness_scores_are_positive_and_cover_edges(g in random_graph()) {
-        let m = MutableGraph::from_csr(&g);
-        let bc = edge_betweenness(&m);
+        let bc = edge_betweenness(&g);
         prop_assert_eq!(bc.len(), g.num_edges());
         for (&(u, v), &score) in &bc {
             prop_assert!(u < v, "non-canonical key");
@@ -39,8 +119,7 @@ proptest! {
     fn betweenness_total_equals_pair_distances(g in random_graph()) {
         // Sum of edge betweenness = sum over connected pairs of d(s,t),
         // since every shortest path contributes its length in edge hops.
-        let m = MutableGraph::from_csr(&g);
-        let bc = edge_betweenness(&m);
+        let bc = edge_betweenness(&g);
         let total: f64 = bc.values().sum();
         let mut dist_sum = 0.0f64;
         for s in g.nodes() {
@@ -72,45 +151,12 @@ proptest! {
 
     #[test]
     fn flat_betweenness_equals_hashmap_reference(g in random_graph()) {
-        // Full computation: every edge's flat score must equal the hash-map
-        // reference bit for bit (same accumulation order, exact halving).
-        let m = MutableGraph::from_csr(&g);
-        let flat = edge_betweenness_flat(&m, None);
-        let reference = edge_betweenness(&m);
-        prop_assert_eq!(flat.len(), g.num_edges());
-        for (e, u, v) in g.edges() {
-            let want = reference.get(&(u, v)).copied().unwrap_or(0.0);
-            prop_assert_eq!(flat[e.index()], want, "edge ({}, {})", u, v);
-        }
-
-        // Restricted-source computation (the Girvan–Newman incremental
-        // path): pick one component's nodes as sources.
-        if g.num_nodes() > 0 {
-            let cc = connected_components(&g);
-            let sources: Vec<NodeId> = g
-                .nodes()
-                .filter(|&v| cc.component(v) == cc.component(NodeId(0)))
-                .collect();
-            let flat_r = edge_betweenness_flat(&m, Some(&sources));
-            let ref_r = edge_betweenness_from(&m, Some(&sources));
-            for (e, u, v) in g.edges() {
-                let want = ref_r.get(&(u, v)).copied().unwrap_or(0.0);
-                prop_assert_eq!(flat_r[e.index()], want, "restricted edge ({}, {})", u, v);
-            }
-        }
+        assert_flat_equals_reference(&g);
     }
 
     #[test]
     fn gn_fast_path_equals_reference(g in random_graph()) {
-        let config = GirvanNewmanConfig::default();
-        let fast = girvan_newman(&g, &config);
-        let reference = girvan_newman_reference(&g, &config);
-        prop_assert_eq!(&fast, &reference);
-        // A warm scratch must not change the answer either.
-        let mut scratch = GnScratch::default();
-        girvan_newman_with(&g, &config, &mut scratch);
-        let warm = girvan_newman_with(&g, &config, &mut scratch);
-        prop_assert_eq!(&warm, &reference);
+        assert_gn_equals_reference(&g);
     }
 
     #[test]
@@ -148,5 +194,37 @@ proptest! {
         let q_louvain = modularity(&g, &p);
         let q_singletons = modularity(&g, &Partition::singletons(g.num_nodes()));
         prop_assert!(q_louvain >= q_singletons - 1e-9);
+    }
+}
+
+proptest! {
+    // The oracle is `O(m² n)` hash-map work on up to 200 nodes.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn flat_betweenness_equals_hashmap_reference_across_words(g in word_boundary_graph()) {
+        assert_flat_equals_reference(&g);
+    }
+
+    #[test]
+    fn gn_fast_path_equals_reference_across_words(g in word_boundary_graph()) {
+        assert_gn_equals_reference(&g);
+    }
+
+    #[test]
+    fn gn_scratch_survives_shrinking_and_growing(
+        big in word_boundary_graph(),
+        small in random_graph(),
+    ) {
+        // Big graph, then a one-word graph, then the big one again on one
+        // scratch: rows, edge-id slots and masks sized for the first load
+        // must not leak into the later ones.
+        let config = GirvanNewmanConfig::default();
+        let want_big = girvan_newman_reference(&big, &config);
+        let want_small = girvan_newman_reference(&small, &config);
+        let mut scratch = GnScratch::default();
+        prop_assert_eq!(&girvan_newman_with(&big, &config, &mut scratch), &want_big);
+        prop_assert_eq!(&girvan_newman_with(&small, &config, &mut scratch), &want_small);
+        prop_assert_eq!(&girvan_newman_with(&big, &config, &mut scratch), &want_big);
     }
 }

@@ -591,12 +591,16 @@ pub fn divide_one_with(
 }
 
 /// Cached global-recorder handles for the Phase I hot loop. Counter
-/// totals (egos, per-detector runs, fallbacks) are deterministic for a
-/// given graph + config and therefore identical across pool sizes; the
-/// ego-latency histogram is the per-ego timing engine comparisons need.
+/// totals (egos, per-detector runs, fallbacks, Girvan–Newman's removals,
+/// splits and Brandes sources) are deterministic for a given graph + config
+/// and therefore identical across pool sizes; the ego-latency histogram is
+/// the per-ego timing engine comparisons need.
 struct Phase1Metrics {
     egos: locec_obs::Counter,
     gn_runs: locec_obs::Counter,
+    gn_removals: locec_obs::Counter,
+    gn_splits: locec_obs::Counter,
+    gn_sources: locec_obs::Counter,
     louvain_runs: locec_obs::Counter,
     labelprop_runs: locec_obs::Counter,
     louvain_fallbacks: locec_obs::Counter,
@@ -611,6 +615,9 @@ impl Phase1Metrics {
             Phase1Metrics {
                 egos: rec.counter("phase1.egos"),
                 gn_runs: rec.counter("phase1.gn_runs"),
+                gn_removals: rec.counter("phase1.gn_removals"),
+                gn_splits: rec.counter("phase1.gn_splits"),
+                gn_sources: rec.counter("phase1.gn_sources"),
                 louvain_runs: rec.counter("phase1.louvain_runs"),
                 labelprop_runs: rec.counter("phase1.labelprop_runs"),
                 louvain_fallbacks: rec.counter("phase1.louvain_fallbacks"),
@@ -639,7 +646,11 @@ fn detect(
     match detector {
         CommunityDetector::GirvanNewman => {
             metrics.gn_runs.incr();
-            girvan_newman_with(g, &Default::default(), gn_scratch)
+            let partition = girvan_newman_with(g, &Default::default(), gn_scratch);
+            metrics.gn_removals.add(gn_scratch.removals);
+            metrics.gn_splits.add(gn_scratch.splits);
+            metrics.gn_sources.add(gn_scratch.brandes_sources);
+            partition
         }
         CommunityDetector::Louvain => {
             metrics.louvain_runs.incr();

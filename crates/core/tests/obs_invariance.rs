@@ -7,7 +7,7 @@
 //! busy time — legitimately different on every run). A report is only
 //! trustworthy if the semantic class is bit-identical no matter how many
 //! worker threads the divide — or the Phase III train + classify — ran on;
-//! this test pins that contract across pool sizes 1, 2 and 8.
+//! this test pins that contract across pool sizes 1, 2, 4 and 8.
 //!
 //! Deltas are measured against the process-global recorder, so this file
 //! holds exactly one `#[test]` — a sibling test in the same binary would
@@ -27,6 +27,9 @@ use locec_synth::{Scenario, SynthConfig};
 const SEMANTIC: &[&str] = &[
     "phase1.egos",
     "phase1.gn_runs",
+    "phase1.gn_removals",
+    "phase1.gn_splits",
+    "phase1.gn_sources",
     "phase1.louvain_runs",
     "phase1.labelprop_runs",
     "phase1.louvain_fallbacks",
@@ -45,7 +48,7 @@ fn semantic_counters_are_thread_count_invariant() {
     let recorder = Recorder::global();
 
     let mut per_pool: Vec<(usize, Vec<u64>, usize)> = Vec::new();
-    for threads in [1usize, 2, 8] {
+    for threads in [1usize, 2, 4, 8] {
         let config = LocecConfig {
             threads,
             ..LocecConfig::fast()

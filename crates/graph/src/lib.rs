@@ -11,7 +11,7 @@
 //! * [`EgoNetwork`] — the Phase I "division" primitive: the subgraph induced
 //!   by a node's neighbours, *excluding the ego node itself* (paper §IV-A).
 //! * [`MutableGraph`] — adjacency-list view supporting edge deletion, used by
-//!   Girvan–Newman community detection.
+//!   the reference Girvan–Newman implementation and by tests.
 //! * [`GraphDelta`] — batched edge insertions/removals, applied with
 //!   per-edge provenance plus the [`dirty_egos`] locality computation that
 //!   powers incremental Phase I re-division.
@@ -39,5 +39,5 @@ pub use ids::{EdgeId, NodeId};
 pub use mutable::MutableGraph;
 pub use traversal::{
     bfs_order, connected_components, connected_components_into, group_members, AdjacencyView,
-    ComponentLabels, EdgeAdjacencyView,
+    ComponentLabels,
 };

@@ -1,28 +1,23 @@
 //! A mutable adjacency-list graph view supporting edge deletion.
 //!
 //! Girvan–Newman community detection (paper §IV-A) removes the
-//! highest-betweenness edge repeatedly. [`crate::CsrGraph`] is immutable, so
-//! GN runs on this companion structure, created once per ego network.
-//!
-//! Every adjacency entry carries the [`EdgeId`] of its edge, parallel to the
-//! neighbour list. When built from a CSR graph the ids are the CSR's own, so
-//! flat `Vec<f64>`-indexed betweenness scores computed on the mutable view
-//! line up 1:1 with the original graph's edge table.
+//! highest-betweenness edge repeatedly and [`crate::CsrGraph`] is
+//! immutable. The production GN keeps its own word-bitset work graph
+//! (`locec_community::betweenness`); this type now serves the reference
+//! implementation it is checked against (`girvan_newman_reference`) and
+//! tests, where plain sorted lists are the point.
 
 use crate::csr::CsrGraph;
-use crate::ids::{EdgeId, NodeId};
+use crate::ids::NodeId;
 
-/// Undirected graph with sorted `Vec` adjacency lists and `O(log d)` edge
-/// removal. Intended for the small graphs (ego networks) GN operates on.
+/// Undirected graph with sorted `Vec` adjacency lists. Finding an edge is an
+/// `O(log d)` binary search; inserting or removing it then shifts the tail
+/// of both lists (`Vec::insert` / `Vec::remove`), so a mutation is `O(d)`.
+/// Intended for the small graphs (ego networks) GN operates on.
 #[derive(Clone, Debug, Default)]
 pub struct MutableGraph {
     adj: Vec<Vec<NodeId>>,
-    /// Edge id of each adjacency entry, parallel to `adj`.
-    eids: Vec<Vec<EdgeId>>,
     num_edges: usize,
-    /// One past the largest edge id ever present; flat edge-indexed arrays
-    /// over this graph need `edge_id_bound()` slots.
-    edge_bound: u32,
 }
 
 impl MutableGraph {
@@ -30,13 +25,11 @@ impl MutableGraph {
     pub fn new(n: usize) -> Self {
         MutableGraph {
             adj: vec![Vec::new(); n],
-            eids: vec![Vec::new(); n],
             num_edges: 0,
-            edge_bound: 0,
         }
     }
 
-    /// Copies the structure of a CSR graph, preserving its edge ids.
+    /// Copies the structure of a CSR graph.
     pub fn from_csr(g: &CsrGraph) -> Self {
         let mut m = MutableGraph::default();
         m.rebuild_from_csr(g);
@@ -44,25 +37,15 @@ impl MutableGraph {
     }
 
     /// Rebuilds this graph in place as a copy of `g`, reusing the inner
-    /// adjacency allocations (the Phase I pipeline creates one mutable view
-    /// per ego network; steady-state rebuilds are allocation-free).
+    /// adjacency allocations.
     pub fn rebuild_from_csr(&mut self, g: &CsrGraph) {
-        let n = g.num_nodes();
-        self.adj.truncate(n);
-        self.eids.truncate(n);
-        while self.adj.len() < n {
-            self.adj.push(Vec::new());
-            self.eids.push(Vec::new());
-        }
+        self.adj.resize_with(g.num_nodes(), Vec::new);
         for v in g.nodes() {
-            let i = v.index();
-            self.adj[i].clear();
-            self.adj[i].extend_from_slice(g.neighbors(v));
-            self.eids[i].clear();
-            self.eids[i].extend_from_slice(g.neighbor_edge_ids(v));
+            let list = &mut self.adj[v.index()];
+            list.clear();
+            list.extend_from_slice(g.neighbors(v));
         }
         self.num_edges = g.num_edges();
-        self.edge_bound = g.num_edges() as u32;
     }
 
     /// Number of nodes.
@@ -77,24 +60,10 @@ impl MutableGraph {
         self.num_edges
     }
 
-    /// One past the largest edge id this graph has ever held — the required
-    /// length of flat arrays indexed by [`EdgeId`].
-    #[inline]
-    pub fn edge_id_bound(&self) -> usize {
-        self.edge_bound as usize
-    }
-
     /// Sorted neighbour list of `v`.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
         &self.adj[v.index()]
-    }
-
-    /// Edge ids of `v`'s adjacency entries, parallel to
-    /// [`MutableGraph::neighbors`].
-    #[inline]
-    pub fn neighbor_edge_ids(&self, v: NodeId) -> &[EdgeId] {
-        &self.eids[v.index()]
     }
 
     /// Degree of `v`.
@@ -103,8 +72,8 @@ impl MutableGraph {
         self.adj[v.index()].len()
     }
 
-    /// Adds the undirected edge `{u, v}` under a fresh edge id. Returns
-    /// `false` if it already exists or is a self-loop.
+    /// Adds the undirected edge `{u, v}`. Returns `false` if it already
+    /// exists or is a self-loop.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> bool {
         if u == v {
             return false;
@@ -115,12 +84,8 @@ impl MutableGraph {
                 let pos_v = self.adj[v.index()]
                     .binary_search(&u)
                     .expect_err("adjacency symmetric");
-                let e = EdgeId(self.edge_bound);
-                self.edge_bound += 1;
                 self.adj[u.index()].insert(pos_u, v);
-                self.eids[u.index()].insert(pos_u, e);
                 self.adj[v.index()].insert(pos_v, u);
-                self.eids[v.index()].insert(pos_v, e);
                 self.num_edges += 1;
                 true
             }
@@ -136,9 +101,7 @@ impl MutableGraph {
                     .binary_search(&u)
                     .expect("adjacency symmetric");
                 self.adj[u.index()].remove(pos_u);
-                self.eids[u.index()].remove(pos_u);
                 self.adj[v.index()].remove(pos_v);
-                self.eids[v.index()].remove(pos_v);
                 self.num_edges -= 1;
                 true
             }
@@ -148,14 +111,6 @@ impl MutableGraph {
     /// Whether `{u, v}` is an edge.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.adj[u.index()].binary_search(&v).is_ok()
-    }
-
-    /// The edge id connecting `u` and `v`, if any. `O(log d_u)`.
-    pub fn edge_id_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        self.adj[u.index()]
-            .binary_search(&v)
-            .ok()
-            .map(|i| self.eids[u.index()][i])
     }
 
     /// All remaining edges as `(u, v)` with `u < v`.
@@ -192,27 +147,7 @@ mod tests {
         let g = triangle();
         assert_eq!(g.num_nodes(), 3);
         assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.edge_id_bound(), 3);
         assert!(g.has_edge(NodeId(0), NodeId(2)));
-    }
-
-    #[test]
-    fn edge_ids_match_csr() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(NodeId(0), NodeId(1));
-        b.add_edge(NodeId(1), NodeId(2));
-        b.add_edge(NodeId(2), NodeId(3));
-        let csr = b.build();
-        let g = MutableGraph::from_csr(&csr);
-        for v in csr.nodes() {
-            for (&w, &e) in g.neighbors(v).iter().zip(g.neighbor_edge_ids(v)) {
-                assert_eq!(csr.edge_between(v, w), Some(e));
-            }
-        }
-        assert_eq!(
-            g.edge_id_between(NodeId(2), NodeId(1)),
-            csr.edge_between(NodeId(1), NodeId(2))
-        );
     }
 
     #[test]
@@ -237,7 +172,6 @@ mod tests {
         assert!(g.remove_edge(NodeId(2), NodeId(0)));
         assert!(!g.has_edge(NodeId(0), NodeId(2)));
         assert!(!g.has_edge(NodeId(2), NodeId(0)));
-        assert!(g.edge_id_between(NodeId(0), NodeId(2)).is_none());
         assert_eq!(g.num_edges(), 2);
         assert!(!g.remove_edge(NodeId(0), NodeId(2)), "double remove");
     }
@@ -249,18 +183,6 @@ mod tests {
         assert!(!g.add_edge(NodeId(1), NodeId(0)));
         assert!(!g.add_edge(NodeId(1), NodeId(1)));
         assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.edge_id_bound(), 1);
-    }
-
-    #[test]
-    fn added_edges_get_fresh_ids() {
-        let mut g = triangle();
-        assert!(!g.add_edge(NodeId(0), NodeId(1)));
-        g.remove_edge(NodeId(0), NodeId(1));
-        assert!(g.add_edge(NodeId(0), NodeId(1)));
-        // Re-added edge gets a new id past the CSR range.
-        assert_eq!(g.edge_id_between(NodeId(0), NodeId(1)), Some(EdgeId(3)));
-        assert_eq!(g.edge_id_bound(), 4);
     }
 
     #[test]
@@ -278,10 +200,6 @@ mod tests {
             g.neighbors(NodeId(0)),
             &[NodeId(1), NodeId(2), NodeId(4), NodeId(5)]
         );
-        // Edge-id lists track their neighbour lists through mutation.
-        for v in g.nodes() {
-            assert_eq!(g.neighbors(v).len(), g.neighbor_edge_ids(v).len());
-        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Breadth-first traversal and connected components.
 //!
-//! Connected-component labelling is the termination/splitting check of
-//! Girvan–Newman, and BFS layers feed Brandes' betweenness accumulation.
+//! Connected-component labelling is the termination/splitting check of the
+//! reference Girvan–Newman, and BFS distances back the property tests of
+//! Brandes' betweenness.
 
 use crate::csr::CsrGraph;
-use crate::ids::{EdgeId, NodeId};
+use crate::ids::NodeId;
 use crate::mutable::MutableGraph;
 use std::collections::VecDeque;
 
@@ -69,35 +70,6 @@ impl AdjacencyView for MutableGraph {
     }
 }
 
-/// Adjacency access with per-entry edge ids, for algorithms that keep flat
-/// `Vec`s indexed by [`EdgeId`] instead of hash maps keyed by endpoint
-/// pairs (Brandes betweenness, Girvan–Newman).
-pub trait EdgeAdjacencyView: AdjacencyView {
-    /// One past the largest edge id; the length flat edge-indexed arrays
-    /// must have.
-    fn edge_id_bound(&self) -> usize;
-    /// Edge ids parallel to [`AdjacencyView::adj`].
-    fn adj_edge_ids(&self, v: NodeId) -> &[EdgeId];
-}
-
-impl EdgeAdjacencyView for CsrGraph {
-    fn edge_id_bound(&self) -> usize {
-        self.num_edges()
-    }
-    fn adj_edge_ids(&self, v: NodeId) -> &[EdgeId] {
-        self.neighbor_edge_ids(v)
-    }
-}
-
-impl EdgeAdjacencyView for MutableGraph {
-    fn edge_id_bound(&self) -> usize {
-        self.edge_id_bound()
-    }
-    fn adj_edge_ids(&self, v: NodeId) -> &[EdgeId] {
-        self.neighbor_edge_ids(v)
-    }
-}
-
 /// Labels connected components with consecutive ids (component ids follow
 /// the smallest node id they contain, ascending).
 pub fn connected_components<G: AdjacencyView>(g: &G) -> ComponentLabels {
@@ -112,8 +84,6 @@ pub fn connected_components<G: AdjacencyView>(g: &G) -> ComponentLabels {
 
 /// Allocation-reusing form of [`connected_components`]: fills `labels` (one
 /// entry per node) and returns the component count. `queue` is BFS scratch.
-/// Girvan–Newman recomputes components after every edge removal, so the
-/// buffers are hot.
 pub fn connected_components_into<G: AdjacencyView>(
     g: &G,
     labels: &mut Vec<u32>,
@@ -292,17 +262,6 @@ mod tests {
         group_members(&[0, 0, 0], 1, &mut offsets, &mut members);
         assert_eq!(offsets, vec![0, 3]);
         assert_eq!(members, vec![NodeId(0), NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn edge_adjacency_view_is_consistent() {
-        let g = two_triangles();
-        let m = MutableGraph::from_csr(&g);
-        assert_eq!(EdgeAdjacencyView::edge_id_bound(&g), 6);
-        assert_eq!(EdgeAdjacencyView::edge_id_bound(&m), 6);
-        for v in g.nodes() {
-            assert_eq!(g.adj_edge_ids(v), m.adj_edge_ids(v));
-        }
     }
 
     #[test]
