@@ -1,26 +1,37 @@
 #![forbid(unsafe_code)]
-//! Shared harness code for the experiment binaries.
+//! The experiment harness behind the `paper` binary.
 //!
-//! Every table and figure of the paper has a binary in `src/bin/` that
-//! regenerates it: run `cargo run --release -p locec_bench --bin <id>`
-//! where `<id>` is `table1|table2|table4|table5|table6` or
-//! `fig2|fig3|fig4|fig5|fig10|fig11|fig12|fig13|fig14`, or `ablation`.
-//! These bins reproduce the paper's *shapes*; performance is measured by
-//! the stand-alone benchmark (`benchmark/run.sh`, see `benchmark/README.md`).
+//! Every table and figure of the paper's §II and §V is one entry of
+//! [`EXPERIMENTS`]: a plain function from the process-wide [`World`] to a
+//! [`Report`]. `cargo run --release -p locec_bench --bin paper -- <id>…`
+//! prints the reports of the named experiments, `paper all` of every one in
+//! registry order, and `paper list` the ids (`table1|table2|table4|table5|
+//! table6`, `fig2|fig3|fig4|fig5|fig10|fig11|fig12|fig13|fig14`, `ablation`).
+//! The experiments reproduce the paper's *shapes* and return their verdicts
+//! as [`Check`] values, which `tests/paper_shapes.rs` asserts on;
+//! performance is measured by the stand-alone benchmark
+//! (`benchmark/run.sh`, see `benchmark/README.md`).
 //!
-//! Scale is controlled by the `LOCEC_SCALE` environment variable:
-//! `tiny` (smoke test), `small`, `medium` (default), or `paper`
-//! (42k nodes, the paper's labeled-subgraph scale — slower). Any other
-//! value is rejected.
+//! Scale is controlled by the `LOCEC_SCALE` environment variable, the
+//! harness's only setting: `tiny` (smoke test), `small`, `medium` (default),
+//! or `paper` (42k nodes, the paper's labeled-subgraph scale — slower). Any
+//! other value is rejected.
 
-use locec_core::{CommunityModelKind, LocecConfig, LocecPipeline};
+use locec_core::pipeline::{split_edges, LocecOutcome};
+use locec_core::{CommunityModelKind, DivisionResult, LocecConfig, LocecPipeline};
 use locec_graph::EdgeId;
 use locec_ml::metrics::{evaluate, Evaluation};
 use locec_synth::types::RelationType;
-use locec_synth::{Scenario, SynthConfig};
+use locec_synth::{Scenario, SocialDataset, SynthConfig};
+use std::sync::OnceLock;
+use std::time::Duration;
 
-pub use locec_core as core;
+mod experiments;
+mod report;
+
+pub use experiments::{fig10a, Experiment, EXPERIMENTS};
 pub use locec_synth as synth;
+pub use report::{Check, Report, Table};
 
 /// Experiment scale, settable via `LOCEC_SCALE`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -29,7 +40,7 @@ pub enum Scale {
     Tiny,
     /// ~3k users.
     Small,
-    /// ~12k users (default; minutes for the heaviest binaries).
+    /// ~12k users (default; minutes for the heaviest experiments).
     Medium,
     /// 42k users — the paper's evaluation-subgraph scale.
     Paper,
@@ -125,121 +136,132 @@ impl Method {
     }
 }
 
-/// Precomputed state reusable across methods and sweep points.
-pub struct Harness<'a> {
-    /// The dataset view.
-    pub data: locec_synth::SocialDataset<'a>,
-    /// Phase I division (shared by both LoCEC variants).
-    pub division: locec_core::DivisionResult,
-    /// Pipeline configuration template.
-    pub config: LocecConfig,
+/// Labeled edges, as the pipeline and the baselines take them.
+pub type LabeledEdges = Vec<(EdgeId, RelationType)>;
+
+/// What every experiment runs against, built once per process: the
+/// synthetic scenario, plus — computed on first use — the Phase I division
+/// under [`harness_config`] and the 80/20 split of the labeled edges that
+/// most experiments share.
+pub struct World {
+    /// The evaluation scenario.
+    pub scenario: Scenario,
+    division: OnceLock<DivisionResult>,
+    split: OnceLock<(LabeledEdges, LabeledEdges)>,
 }
 
-impl<'a> Harness<'a> {
-    /// Builds the harness: one Phase I division for the scenario.
-    pub fn new(scenario: &'a Scenario) -> Self {
-        let config = harness_config();
-        let data = scenario.dataset();
-        let pipeline = LocecPipeline::new(config.clone());
-        let division = pipeline.divide_only(&data);
-        Harness {
-            data,
-            division,
-            config,
+impl World {
+    /// A world over `scenario`.
+    pub fn new(scenario: Scenario) -> World {
+        World {
+            scenario,
+            division: OnceLock::new(),
+            split: OnceLock::new(),
         }
     }
 
+    /// The world the `paper` binary runs on: seed 42 at the `LOCEC_SCALE`
+    /// scale.
+    pub fn from_env() -> World {
+        World::new(Scale::from_env().scenario(42))
+    }
+
+    /// The dataset view.
+    pub fn data(&self) -> SocialDataset<'_> {
+        self.scenario.dataset()
+    }
+
+    /// The Phase I division under [`harness_config`]. Phase I depends only
+    /// on the graph, so every experiment and sweep point shares it.
+    pub fn division(&self) -> &DivisionResult {
+        self.division
+            .get_or_init(|| LocecPipeline::new(harness_config()).divide_only(&self.data()))
+    }
+
+    /// The seed-42 80/20 `(train, test)` split of the labeled edges.
+    pub fn split(&self) -> &(LabeledEdges, LabeledEdges) {
+        self.split
+            .get_or_init(|| split_edges(&self.data().labeled_edges_sorted(), 0.8, 42))
+    }
+
+    /// Phases II and III under `config` on the shared division.
+    pub fn run(
+        &self,
+        config: LocecConfig,
+        train: &[(EdgeId, RelationType)],
+        test: &[(EdgeId, RelationType)],
+    ) -> LocecOutcome {
+        let (data, division) = (self.data(), self.division());
+        LocecPipeline::new(config).run_with_division(&data, division, Duration::ZERO, train, test)
+    }
+
     /// Runs one method on explicit train/test labeled-edge splits and
-    /// returns its evaluation.
+    /// returns its evaluation; `config` is the LoCEC variants' template.
     pub fn run_method(
         &self,
         method: Method,
+        config: &LocecConfig,
         train: &[(EdgeId, RelationType)],
         test: &[(EdgeId, RelationType)],
     ) -> Evaluation {
+        let data = self.data();
         let test_ids: Vec<EdgeId> = test.iter().map(|&(e, _)| e).collect();
-        let y_true: Vec<usize> = test.iter().map(|&(_, t)| t.label()).collect();
-        match method {
+        let preds = match method {
             Method::ProbWp => {
-                let preds = locec_baselines::probwp_predict(
-                    &self.data,
-                    train,
-                    &test_ids,
-                    &locec_baselines::ProbWpConfig::default(),
-                );
-                evaluate(&y_true, &preds, RelationType::COUNT)
+                let config = locec_baselines::ProbWpConfig::default();
+                locec_baselines::probwp_predict(&data, train, &test_ids, &config)
             }
             Method::Economix => {
-                let preds = locec_baselines::economix_predict(
-                    &self.data,
-                    train,
-                    &test_ids,
-                    &locec_baselines::EconomixConfig::default(),
-                );
-                evaluate(&y_true, &preds, RelationType::COUNT)
+                let config = locec_baselines::EconomixConfig::default();
+                locec_baselines::economix_predict(&data, train, &test_ids, &config)
             }
             Method::XgbEdge => {
-                let preds = locec_baselines::xgb_edge_predict(
-                    &self.data,
-                    train,
-                    &test_ids,
-                    &locec_baselines::XgbEdgeConfig::default(),
-                );
-                evaluate(&y_true, &preds, RelationType::COUNT)
+                let config = locec_baselines::XgbEdgeConfig::default();
+                locec_baselines::xgb_edge_predict(&data, train, &test_ids, &config)
             }
             Method::LocecXgb | Method::LocecCnn => {
-                let mut config = self.config.clone();
-                config.community_model = if method == Method::LocecXgb {
+                let community_model = if method == Method::LocecXgb {
                     CommunityModelKind::Xgb
                 } else {
                     CommunityModelKind::Cnn
                 };
-                let mut pipeline = LocecPipeline::new(config);
-                let outcome = pipeline.run_with_division(
-                    &self.data,
-                    &self.division,
-                    std::time::Duration::ZERO,
-                    train,
-                    test,
-                );
-                outcome.edge_eval
+                let config = LocecConfig {
+                    community_model,
+                    ..config.clone()
+                };
+                return self.run(config, train, test).edge_eval;
             }
-        }
+        };
+        let y_true: Vec<usize> = test.iter().map(|&(_, t)| t.label()).collect();
+        evaluate(&y_true, &preds, RelationType::COUNT)
     }
 }
 
-/// The pipeline configuration used by all experiment binaries.
+/// The pipeline configuration every experiment starts from: LoCEC-CNN with
+/// the paper's parameters.
 pub fn harness_config() -> LocecConfig {
     LocecConfig::default()
 }
 
-/// Prints one table row in the paper's Precision / Recall / F1 format.
-pub fn print_metric_row(label: &str, class: &str, p: f64, r: f64, f1: f64) {
-    println!("| {label:<12} | {class:<16} | {p:>9.3} | {r:>6.3} | {f1:>8.3} |");
-}
-
-/// Prints an evaluation in the paper's per-class + overall layout.
-pub fn print_evaluation(label: &str, eval: &Evaluation) {
-    for t in RelationType::ALL {
-        let m = &eval.per_class[t.label()];
-        print_metric_row(label, t.name(), m.precision, m.recall, m.f1);
+/// Resolves `paper`'s arguments — experiment ids, or `all` — to registry
+/// entries in the order given. No argument, or one that names nothing, is an
+/// error listing what would have been accepted.
+pub fn select(args: &[impl AsRef<str>]) -> Result<Vec<(&'static str, Experiment)>, String> {
+    let ids = EXPERIMENTS.map(|(id, _)| id).join("|");
+    let mut selected = Vec::new();
+    for arg in args.iter().map(AsRef::as_ref) {
+        match EXPERIMENTS.iter().find(|(id, _)| *id == arg) {
+            Some(&entry) => selected.push(entry),
+            None if arg == "all" => selected.extend(EXPERIMENTS),
+            None => return Err(format!("{arg:?} is not all, list, or one of {ids}")),
+        }
     }
-    print_metric_row(
-        label,
-        "Overall",
-        eval.overall.precision,
-        eval.overall.recall,
-        eval.overall.f1,
-    );
-}
-
-/// Table header matching [`print_metric_row`].
-pub fn print_table_header() {
-    println!(
-        "| {0:<12} | {1:<16} | {2:>9} | {3:>6} | {4:>8} |",
-        "Algorithm", "Community Type", "Precision", "Recall", "F1-score"
-    );
-    println!("|{0:-<14}|{0:-<18}|{0:-<11}|{0:-<8}|{0:-<10}|", "");
+    if selected.is_empty() {
+        return Err(format!(
+            "no experiment named; expected all, list, or ids of {ids}"
+        ));
+    }
+    Ok(selected)
 }
 
 #[cfg(test)]
@@ -269,6 +291,52 @@ mod tests {
     }
 
     #[test]
+    fn registry_holds_the_fifteen_paper_ids_once_each() {
+        let ids = EXPERIMENTS.map(|(id, _)| id);
+        let expected = [
+            "fig2", "fig3", "fig4", "fig5", "fig10", "fig11", "fig12", "fig13", "fig14", "table1",
+            "table2", "table4", "table5", "table6", "ablation",
+        ];
+        assert_eq!(ids, expected);
+        let all = select(&["all"]).unwrap();
+        assert_eq!(all.iter().map(|&(id, _)| id).collect::<Vec<_>>(), ids);
+    }
+
+    #[test]
+    fn selection_keeps_argument_order_and_rejects_unknown_ids() {
+        let picked = select(&["table4", "fig2"]).unwrap();
+        assert_eq!(
+            picked.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
+            ["table4", "fig2"]
+        );
+        for bad in [&["fig1"][..], &["fig2", "Table4"], &["--all"], &[]] {
+            let message = select(bad).err().expect("rejected");
+            assert!(
+                message.contains("all, list") && message.contains("fig14|table1|table2"),
+                "{bad:?}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn data_only_experiments_report_at_tiny() {
+        let world = World::new(Scale::Tiny.scenario(42));
+        for id in ["table1", "table2", "fig2", "fig3", "fig4", "fig5"] {
+            let (_, run) = select(&[id]).unwrap()[0];
+            let report = run(&world);
+            assert!(
+                !report.tables.is_empty() || !report.notes.is_empty(),
+                "{id} reported nothing"
+            );
+            let rendered = report.to_string();
+            assert!(rendered.starts_with(&format!("=== {} ===\n", report.title)));
+            let verdicts =
+                rendered.matches("\n  [ok] ").count() + rendered.matches("\n  [MISS] ").count();
+            assert_eq!(verdicts, report.checks.len(), "{id}: {rendered}");
+        }
+    }
+
+    #[test]
     fn tiny_scenario_has_high_label_coverage() {
         // The evaluation worlds oversample the survey to reach the paper's
         // ≈40% labeled-edge regime.
@@ -286,12 +354,11 @@ mod tests {
         let mut config = harness_config();
         config.commcnn.epochs = 5;
         config.gbdt.num_rounds = 10;
-        let mut h = Harness::new(&s);
-        h.config = config;
-        let labeled = h.data.labeled_edges_sorted();
-        let (train, test) = locec_core::pipeline::split_edges(&labeled, 0.8, 1);
+        let world = World::new(s);
+        let labeled = world.data().labeled_edges_sorted();
+        let (train, test) = split_edges(&labeled, 0.8, 1);
         for m in Method::ALL {
-            let eval = h.run_method(m, &train, &test);
+            let eval = world.run_method(m, &config, &train, &test);
             assert!(
                 eval.accuracy > 0.2,
                 "{} accuracy {}",

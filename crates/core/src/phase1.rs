@@ -152,25 +152,6 @@ impl DivisionResult {
         &self.membership
     }
 
-    /// Assembles a division from an iterator of community chunks, where
-    /// each chunk holds the communities of one contiguous ego range (in ego
-    /// order) and the chunks' ranges are disjoint and tile the graph — but
-    /// may arrive in **any order**. This is the merge entry point of a
-    /// streaming multi-process run: shard results are spliced into the
-    /// growing list as they land, so peak memory is the growing division
-    /// plus one unmerged chunk, and the result is bit-identical to a
-    /// single-process [`divide`].
-    pub fn from_community_chunks<I>(graph: &CsrGraph, chunks: I, threads: usize) -> Self
-    where
-        I: IntoIterator<Item = Vec<LocalCommunity>>,
-    {
-        let mut communities = Vec::new();
-        for chunk in chunks {
-            splice_ordered_chunk(&mut communities, chunk);
-        }
-        Self::from_communities(graph, communities, threads)
-    }
-
     /// Reassembles a division from untrusted stored parts without
     /// recomputing the membership table (the snapshot load path — loading
     /// the stored table verbatim is what makes round-trips bit-identical).
@@ -314,7 +295,19 @@ pub fn divide_range(
         "ego range {egos:?} exceeds the graph's {} nodes",
         graph.num_nodes()
     );
-    let len = egos.len();
+    divide_indexed(graph, egos.len(), |i| NodeId(egos.start + i as u32), config)
+}
+
+/// The pool loop behind [`divide_range`] and [`divide_egos`]: divides the
+/// egos `ego_at(0..len)` in chunks of [`DIVIDE_GRAIN`] indices and
+/// concatenates the chunks in index order, so the output is bit-identical
+/// for every thread count. Records the `phase1.wall_nanos` span.
+fn divide_indexed(
+    graph: &CsrGraph,
+    len: usize,
+    ego_at: impl Fn(usize) -> NodeId + Sync,
+    config: &LocecConfig,
+) -> Vec<LocalCommunity> {
     let threads = config.threads.clamp(1, len.max(1));
     let wall = locec_obs::Recorder::global().span("phase1.wall_nanos");
     let pool = WorkerPool::global();
@@ -322,14 +315,8 @@ pub fn divide_range(
         SCRATCH.with(|scratch| {
             let scratch = &mut scratch.borrow_mut();
             let mut out = Vec::new();
-            for v in range {
-                divide_one_with(
-                    graph,
-                    NodeId(egos.start + v as u32),
-                    config,
-                    scratch,
-                    &mut out,
-                );
+            for i in range {
+                divide_one_with(graph, ego_at(i), config, scratch, &mut out);
             }
             out
         })
@@ -356,20 +343,7 @@ pub fn divide_egos(graph: &CsrGraph, egos: &[NodeId], config: &LocecConfig) -> V
             graph.num_nodes()
         );
     }
-    let len = egos.len();
-    let threads = config.threads.clamp(1, len.max(1));
-    let pool = WorkerPool::global();
-    let chunks: Vec<Vec<LocalCommunity>> = pool.run_chunked(len, threads, DIVIDE_GRAIN, |range| {
-        SCRATCH.with(|scratch| {
-            let scratch = &mut scratch.borrow_mut();
-            let mut out = Vec::new();
-            for i in range {
-                divide_one_with(graph, egos[i], config, scratch, &mut out);
-            }
-            out
-        })
-    });
-    pool.concat(threads, chunks)
+    divide_indexed(graph, egos.len(), |i| egos[i], config)
 }
 
 /// Incremental Phase I: re-divides only the `dirty` egos of an evolved
@@ -502,9 +476,8 @@ fn splice_merge(
 /// order — into `communities` (also in ego order) at the position that
 /// keeps the whole list ordered. The chunk's ego range must be disjoint
 /// from every ego already present; ranges may otherwise arrive in any
-/// order. This is the per-shard step behind
-/// [`DivisionResult::from_community_chunks`] and the coordinator's
-/// streaming merge.
+/// order. This is the per-shard step of `locec_store`'s `IncrementalMerge`,
+/// which `divide --merge` and the coordinator's streaming merge run on.
 pub fn splice_ordered_chunk(communities: &mut Vec<LocalCommunity>, chunk: Vec<LocalCommunity>) {
     let Some(first) = chunk.first() else {
         return;
@@ -969,30 +942,6 @@ mod tests {
         // And both equal the owned divide_update entry point.
         let via_update = divide_update_owned(&applied.graph, base, &dirty, &cfg);
         assert_eq!(owned.membership, via_update.membership);
-    }
-
-    #[test]
-    fn chunks_merge_to_the_full_division_in_any_arrival_order() {
-        let g = fig7_graph();
-        let cfg = config();
-        let full = divide(&g, &cfg);
-        let n = g.num_nodes() as u32;
-        // 4 contiguous ranges (one empty when 9 % 4 != 0 splits unevenly),
-        // delivered out of order — exactly what a streaming coordinator
-        // sees when fast workers finish late ranges first.
-        let mut chunks: Vec<Vec<LocalCommunity>> = (0..4u32)
-            .map(|i| divide_range(&g, (i * n / 4)..((i + 1) * n / 4), &cfg))
-            .collect();
-        chunks.reverse();
-        chunks.swap(0, 2);
-        let merged = DivisionResult::from_community_chunks(&g, chunks, cfg.threads);
-        assert_eq!(merged.num_communities(), full.num_communities());
-        for (a, b) in merged.communities.iter().zip(&full.communities) {
-            assert_eq!(a.ego, b.ego);
-            assert_eq!(a.members, b.members);
-            assert_eq!(a.tightness, b.tightness);
-        }
-        assert_eq!(merged.membership, full.membership);
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! race the counters.
 
 use locec_core::ground_truth::community_ground_truth;
-use locec_core::phase1::{divide, divide_range};
+use locec_core::phase1::{divide, divide_egos, divide_range};
 use locec_core::phase2::CommunityClassifier;
 use locec_core::phase3::EdgeClassifier;
 use locec_core::{CommunityModelKind, LocecConfig};
+use locec_graph::NodeId;
 use locec_obs::Recorder;
 use locec_synth::{Scenario, SynthConfig};
 
@@ -80,6 +81,18 @@ fn semantic_counters_are_thread_count_invariant() {
             );
         }
     }
+
+    // Both Phase I entry points run the one pool driver, so each call —
+    // a full range or the scattered ego list of `divide --update` — records
+    // exactly one `phase1.wall_nanos` span.
+    let wall_spans = || recorder.histogram("phase1.wall_nanos").snapshot().count;
+    let config = LocecConfig::fast();
+    let spans = wall_spans();
+    divide_range(&scenario.graph, 0..n, &config);
+    assert_eq!(wall_spans(), spans + 1, "divide_range recorded no span");
+    let scattered: Vec<NodeId> = (0..n).step_by(7).map(NodeId).collect();
+    divide_egos(&scenario.graph, &scattered, &config);
+    assert_eq!(wall_spans(), spans + 2, "divide_egos recorded no span");
 
     // Phase III: train + classify every edge on the same aggregation.
     let config = LocecConfig {

@@ -501,98 +501,107 @@ impl SnapshotWriter {
     }
 }
 
-/// A parsed, checksum-verified snapshot: the file's bytes in one owned
-/// buffer, and per section the range of its payload in it.
-pub struct Snapshot {
-    version: u32,
-    kind: SnapshotKind,
-    bytes: Vec<u8>,
-    sections: Vec<(String, std::ops::Range<usize>)>,
+/// One entry of a parsed section table.
+struct Section {
+    name: String,
+    /// Absolute offset of the payload in the file.
+    offset: u64,
+    len: usize,
+    crc: u32,
 }
 
-impl Snapshot {
-    /// Parses and verifies a serialized snapshot.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        Snapshot::parse(bytes.to_vec())
-    }
+/// The parsed header and section table — everything in a snapshot file
+/// ahead of the first payload. Both readers parse it with [`Header::read`],
+/// so every structural check on untrusted bytes is made in one place.
+struct Header {
+    version: u32,
+    kind: SnapshotKind,
+    sections: Vec<Section>,
+}
 
-    fn parse(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
-        if bytes.len() < 8 {
-            return Err(if bytes == MAGIC[..bytes.len()] {
-                SnapshotError::Truncated
-            } else {
-                SnapshotError::BadMagic
-            });
+impl Header {
+    /// Parses magic → version → kind → section table from `src`, a file of
+    /// `total_len` bytes positioned at its start, and checks that the table's
+    /// declared payloads end exactly at `total_len`. Payloads are not read.
+    fn read(src: &mut impl Read, total_len: u64) -> Result<Header, SnapshotError> {
+        let mut magic = [0u8; 8];
+        let mut got = 0usize;
+        while got < magic.len() {
+            let k = src.read(&mut magic[got..])?;
+            if k == 0 {
+                break;
+            }
+            got += k;
         }
-        if bytes[..8] != MAGIC {
+        if magic[..got] != MAGIC[..got] {
             return Err(SnapshotError::BadMagic);
         }
-        let mut dec = Dec::new(&bytes[8..]);
-        let version = dec.u32()?;
+        if got < magic.len() {
+            return Err(SnapshotError::Truncated);
+        }
+        let version = read_u32(src)?;
         if version != FORMAT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let kind_raw = dec.u32()?;
+        let kind_raw = read_u32(src)?;
         let kind = SnapshotKind::from_u32(kind_raw).ok_or(SnapshotError::UnknownKind(kind_raw))?;
-        let count = dec.u32()? as usize;
+        let count = read_u32(src)? as usize;
         // Each table entry takes at least 14 bytes; reject absurd counts
         // before allocating.
-        if count.saturating_mul(14) > bytes.len() {
+        if (count as u64).saturating_mul(14) > total_len {
             return Err(SnapshotError::Truncated);
         }
-        let mut table = Vec::with_capacity(count);
+        let mut sections = Vec::with_capacity(count);
+        let mut table_end = 20u64;
         for _ in 0..count {
-            let name_len = u16::from_le_bytes(array(dec.take(2)?)) as usize;
+            let mut len_buf = [0u8; 2];
+            read_exact_or_typed(src, &mut len_buf)?;
+            let name_len = u16::from_le_bytes(len_buf) as usize;
             if name_len > MAX_SECTION_NAME {
                 return Err(SnapshotError::Corrupt("section name too long"));
             }
-            let name = std::str::from_utf8(dec.take(name_len)?)
-                .map_err(|_| SnapshotError::Corrupt("section name is not UTF-8"))?
-                .to_owned();
-            let len = usize::try_from(dec.u64()?)
+            let mut name_buf = vec![0u8; name_len];
+            read_exact_or_typed(src, &mut name_buf)?;
+            let name = String::from_utf8(name_buf)
+                .map_err(|_| SnapshotError::Corrupt("section name is not UTF-8"))?;
+            let mut rest = [0u8; 12];
+            read_exact_or_typed(src, &mut rest)?;
+            let len = usize::try_from(u64::from_le_bytes(array(&rest[..8])))
                 .map_err(|_| SnapshotError::Corrupt("section length exceeds usize"))?;
-            let crc = dec.u32()?;
-            table.push((name, len, crc));
+            let crc = u32::from_le_bytes(array(&rest[8..12]));
+            table_end += 2 + name_len as u64 + 12;
+            sections.push(Section {
+                name,
+                offset: 0,
+                len,
+                crc,
+            });
         }
-        let metrics = StoreMetrics::get();
-        let mut sections = Vec::with_capacity(count);
-        for (name, len, crc) in table {
-            let start = 8 + dec.pos;
-            let payload = dec.take(len)?;
-            metrics.sections_read.incr();
-            metrics.bytes_read.add(payload.len() as u64);
-            if crc32_timed(payload) != crc {
-                return Err(SnapshotError::ChecksumMismatch { section: name });
+        // Payloads follow the table contiguously; the whole file must be
+        // exactly header + table + payloads. Declared lengths are untrusted
+        // — accumulate with overflow checks so a crafted length cannot wrap
+        // the offset into a plausible-looking table.
+        let mut offset = table_end;
+        for section in &mut sections {
+            section.offset = offset;
+            offset = offset
+                .checked_add(section.len as u64)
+                .ok_or(SnapshotError::Truncated)?;
+        }
+        match offset.cmp(&total_len) {
+            std::cmp::Ordering::Greater => Err(SnapshotError::Truncated),
+            std::cmp::Ordering::Less => {
+                Err(SnapshotError::Corrupt("trailing bytes after last section"))
             }
-            sections.push((name, start..start + len));
+            std::cmp::Ordering::Equal => Ok(Header {
+                version,
+                kind,
+                sections,
+            }),
         }
-        dec.done()
-            .map_err(|_| SnapshotError::Corrupt("trailing bytes after last section"))?;
-        Ok(Snapshot {
-            version,
-            kind,
-            bytes,
-            sections,
-        })
     }
 
-    /// Reads and verifies a snapshot file.
-    pub fn read_from(path: &Path) -> Result<Self, SnapshotError> {
-        Snapshot::parse(std::fs::read(path)?)
-    }
-
-    /// The file's format version.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// The file's kind.
-    pub fn kind(&self) -> SnapshotKind {
-        self.kind
-    }
-
-    /// Fails unless the snapshot has the expected kind.
-    pub fn expect_kind(&self, expected: SnapshotKind) -> Result<(), SnapshotError> {
+    fn expect_kind(&self, expected: SnapshotKind) -> Result<(), SnapshotError> {
         if self.kind == expected {
             Ok(())
         } else {
@@ -603,28 +612,88 @@ impl Snapshot {
         }
     }
 
-    /// A decoder over the named section's payload.
-    pub fn section(&self, name: &'static str) -> Result<Dec<'_>, SnapshotError> {
+    fn section(&self, name: &'static str) -> Result<&Section, SnapshotError> {
         self.sections
             .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, range)| Dec::new(&self.bytes[range.clone()]))
+            .find(|s| s.name == name)
             .ok_or(SnapshotError::MissingSection(name))
+    }
+
+    fn section_summaries(&self) -> impl Iterator<Item = (&str, usize)> {
+        self.sections.iter().map(|s| (s.name.as_str(), s.len))
+    }
+}
+
+/// Counts `payload` as read and checks it against its table entry's CRC.
+fn verify_payload(section: &Section, payload: &[u8]) -> Result<(), SnapshotError> {
+    let metrics = StoreMetrics::get();
+    metrics.sections_read.incr();
+    metrics.bytes_read.add(payload.len() as u64);
+    if crc32_timed(payload) == section.crc {
+        Ok(())
+    } else {
+        Err(SnapshotError::ChecksumMismatch {
+            section: section.name.clone(),
+        })
+    }
+}
+
+/// A parsed, checksum-verified snapshot: the file's bytes in one owned
+/// buffer, and the section table locating each payload in it.
+pub struct Snapshot {
+    header: Header,
+    bytes: Vec<u8>,
+}
+
+impl Snapshot {
+    /// Parses and verifies a serialized snapshot.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        Snapshot::parse(bytes.to_vec())
+    }
+
+    fn parse(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
+        let header = Header::read(&mut &bytes[..], bytes.len() as u64)?;
+        let snapshot = Snapshot { header, bytes };
+        for section in &snapshot.header.sections {
+            verify_payload(section, snapshot.payload(section))?;
+        }
+        Ok(snapshot)
+    }
+
+    /// A section's payload; [`Header::read`] checked that it lies in the file.
+    fn payload(&self, section: &Section) -> &[u8] {
+        &self.bytes[section.offset as usize..][..section.len]
+    }
+
+    /// Reads and verifies a snapshot file.
+    pub fn read_from(path: &Path) -> Result<Self, SnapshotError> {
+        Snapshot::parse(std::fs::read(path)?)
+    }
+
+    /// The file's format version.
+    pub fn version(&self) -> u32 {
+        self.header.version
+    }
+
+    /// The file's kind.
+    pub fn kind(&self) -> SnapshotKind {
+        self.header.kind
+    }
+
+    /// Fails unless the snapshot has the expected kind.
+    pub fn expect_kind(&self, expected: SnapshotKind) -> Result<(), SnapshotError> {
+        self.header.expect_kind(expected)
+    }
+
+    /// A decoder over the named section's payload.
+    pub fn section(&self, name: &'static str) -> Result<Dec<'_>, SnapshotError> {
+        Ok(Dec::new(self.payload(self.header.section(name)?)))
     }
 
     /// `(name, payload length)` of every section, in file order.
     pub fn section_summaries(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.sections.iter().map(|(n, r)| (n.as_str(), r.len()))
+        self.header.section_summaries()
     }
-}
-
-/// One entry of a [`LazySnapshot`]'s parsed section table.
-struct LazySection {
-    name: String,
-    /// Absolute file offset of the payload.
-    offset: u64,
-    len: usize,
-    crc: u32,
 }
 
 /// A snapshot opened lazily: the header and section table are parsed (and
@@ -640,168 +709,66 @@ struct LazySection {
 /// section is validated at the moment its data is about to be used.
 pub struct LazySnapshot {
     file: std::fs::File,
-    version: u32,
-    kind: SnapshotKind,
-    table: Vec<LazySection>,
+    header: Header,
 }
 
 impl LazySnapshot {
     /// Opens a snapshot file, parsing header + section table only.
     pub fn open(path: &Path) -> Result<Self, SnapshotError> {
-        let mut file = std::fs::File::open(path)?;
+        let file = std::fs::File::open(path)?;
         let file_len = file.metadata()?.len();
-
-        let mut head = [0u8; 20];
-        let mut got = 0usize;
-        while got < head.len() {
-            let k = file.read(&mut head[got..])?;
-            if k == 0 {
-                break;
-            }
-            got += k;
-        }
-        if got < 8 {
-            return Err(if head[..got] == MAGIC[..got] {
-                SnapshotError::Truncated
-            } else {
-                SnapshotError::BadMagic
-            });
-        }
-        if head[..8] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        if got < head.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let version = u32::from_le_bytes(array(&head[8..12]));
-        if version != FORMAT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let kind_raw = u32::from_le_bytes(array(&head[12..16]));
-        let kind = SnapshotKind::from_u32(kind_raw).ok_or(SnapshotError::UnknownKind(kind_raw))?;
-        let count = u32::from_le_bytes(array(&head[16..20])) as usize;
-        if (count as u64).saturating_mul(14) > file_len {
-            return Err(SnapshotError::Truncated);
-        }
-
-        let mut table = Vec::with_capacity(count);
-        let mut cursor = 20u64;
-        let mut payload_total = 0u64;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut len_buf = [0u8; 2];
-            read_exact_or_typed(&mut file, &mut len_buf)?;
-            let name_len = u16::from_le_bytes(len_buf) as usize;
-            if name_len > MAX_SECTION_NAME {
-                return Err(SnapshotError::Corrupt("section name too long"));
-            }
-            let mut name_buf = vec![0u8; name_len];
-            read_exact_or_typed(&mut file, &mut name_buf)?;
-            let name = String::from_utf8(name_buf)
-                .map_err(|_| SnapshotError::Corrupt("section name is not UTF-8"))?;
-            let mut rest = [0u8; 12];
-            read_exact_or_typed(&mut file, &mut rest)?;
-            let len = usize::try_from(u64::from_le_bytes(array(&rest[..8])))
-                .map_err(|_| SnapshotError::Corrupt("section length exceeds usize"))?;
-            let crc = u32::from_le_bytes(array(&rest[8..12]));
-            cursor += 2 + name_len as u64 + 12;
-            payload_total = payload_total
-                .checked_add(len as u64)
-                .ok_or(SnapshotError::Truncated)?;
-            entries.push((name, len, crc));
-        }
-        // Payload offsets follow the table contiguously; the whole file
-        // must be exactly header + table + payloads. Declared lengths are
-        // untrusted — accumulate with overflow checks so a crafted length
-        // cannot wrap the offset into a plausible-looking table.
-        let mut offset = cursor;
-        for (name, len, crc) in entries {
-            table.push(LazySection {
-                name,
-                offset,
-                len,
-                crc,
-            });
-            offset = offset
-                .checked_add(len as u64)
-                .ok_or(SnapshotError::Truncated)?;
-        }
-        match offset.cmp(&file_len) {
-            std::cmp::Ordering::Greater => return Err(SnapshotError::Truncated),
-            std::cmp::Ordering::Less => {
-                return Err(SnapshotError::Corrupt("trailing bytes after last section"))
-            }
-            std::cmp::Ordering::Equal => {}
-        }
-        Ok(LazySnapshot {
-            file,
-            version,
-            kind,
-            table,
-        })
+        let header = Header::read(&mut std::io::BufReader::new(&file), file_len)?;
+        Ok(LazySnapshot { file, header })
     }
 
     /// The file's format version.
     pub fn version(&self) -> u32 {
-        self.version
+        self.header.version
     }
 
     /// The file's kind.
     pub fn kind(&self) -> SnapshotKind {
-        self.kind
+        self.header.kind
     }
 
     /// Fails unless the snapshot has the expected kind.
     pub fn expect_kind(&self, expected: SnapshotKind) -> Result<(), SnapshotError> {
-        if self.kind == expected {
-            Ok(())
-        } else {
-            Err(SnapshotError::WrongKind {
-                expected,
-                found: self.kind,
-            })
-        }
+        self.header.expect_kind(expected)
     }
 
     /// `(name, payload length)` of every section, in file order — available
     /// without reading any payload.
     pub fn section_summaries(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.table.iter().map(|s| (s.name.as_str(), s.len))
+        self.header.section_summaries()
     }
 
     /// Reads one section's payload from disk and verifies its checksum.
     /// Other sections are neither read nor validated.
     pub fn section_bytes(&mut self, name: &'static str) -> Result<Vec<u8>, SnapshotError> {
-        let entry = self
-            .table
-            .iter()
-            .find(|s| s.name == name)
-            .ok_or(SnapshotError::MissingSection(name))?;
-        let (offset, len, crc) = (entry.offset, entry.len, entry.crc);
-        self.file.seek(SeekFrom::Start(offset))?;
-        let mut payload = vec![0u8; len];
+        let section = self.header.section(name)?;
+        self.file.seek(SeekFrom::Start(section.offset))?;
+        let mut payload = vec![0u8; section.len];
         read_exact_or_typed(&mut self.file, &mut payload)?;
-        let metrics = StoreMetrics::get();
-        metrics.sections_read.incr();
-        metrics.bytes_read.add(payload.len() as u64);
-        if crc32_timed(&payload) != crc {
-            return Err(SnapshotError::ChecksumMismatch {
-                section: name.to_owned(),
-            });
-        }
+        verify_payload(section, &payload)?;
         Ok(payload)
     }
 }
 
 /// `read_exact` with `UnexpectedEof` mapped to the typed truncation error.
-fn read_exact_or_typed(file: &mut std::fs::File, buf: &mut [u8]) -> Result<(), SnapshotError> {
-    file.read_exact(buf).map_err(|e| {
+fn read_exact_or_typed(src: &mut impl Read, buf: &mut [u8]) -> Result<(), SnapshotError> {
+    src.read_exact(buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             SnapshotError::Truncated
         } else {
             SnapshotError::Io(e)
         }
     })
+}
+
+fn read_u32(src: &mut impl Read) -> Result<u32, SnapshotError> {
+    let mut buf = [0u8; 4];
+    read_exact_or_typed(src, &mut buf)?;
+    Ok(u32::from_le_bytes(buf))
 }
 
 #[cfg(test)]

@@ -132,7 +132,7 @@ fn pipeline_is_deterministic() {
 
 #[test]
 fn detector_ablation_louvain_also_works() {
-    // DESIGN.md ablation: Louvain local communities instead of GN.
+    // The detector ablation: Louvain local communities instead of GN.
     let scenario = Scenario::generate(&SynthConfig::tiny(206));
     let mut config = fast_config(CommunityModelKind::Xgb);
     config.detector = locec::core::CommunityDetector::Louvain;
