@@ -4,8 +4,8 @@
 //! Workers are deliberately thin. All policy (task sizing, retries,
 //! dedup) lives in the coordinator; a worker just runs
 //! [`locec_core::phase1::divide_range`] over whatever contiguous range it
-//! is leased — on the process-wide [`locec_runtime::WorkerPool`] via the
-//! shipped `threads` parameter — and ships the result back as the exact
+//! is leased — on as many threads as the shipped `threads` parameter
+//! allows — and ships the result back as the exact
 //! shard snapshot bytes `locec divide --shard` would write. A side thread
 //! heartbeats on the interval the coordinator dictated (reporting whether
 //! the worker is busy and how many leases it has completed), so a long

@@ -17,8 +17,8 @@
 //!
 //! Inference is immutable: the layer stacks compute through
 //! `forward(&self, …, &mut Scratch)`, so a trained network is shared
-//! across `WorkerPool` threads and [`CommCnn::predict_proba_batch`] fans
-//! batches out with one scratch arena per chunk. Training keeps the
+//! across threads and [`CommCnn::predict_proba_batch`] fans batches out
+//! with one scratch arena per thread. Training keeps the
 //! `&mut self` path that caches activations for backward.
 
 use locec_ml::kernel;
@@ -27,19 +27,19 @@ use locec_ml::nn::{
     SoftmaxCrossEntropy,
 };
 use locec_ml::{Scratch, Tensor};
-use locec_runtime::WorkerPool;
+use locec_runtime::run_chunked;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::cell::RefCell;
 
-/// Samples per worker-pool chunk during batch inference. Fixed (not derived
-/// from the thread count) so the chunk layout — and therefore every
-/// semantic `ml.*` counter — is identical at any pool size. Kept well
-/// under [`INFER_BATCH`]: a chunk is one GEMM batch either way (every
-/// output element's fold is independent of its neighbours, so the batch
-/// split never changes results), and smaller chunks keep per-thread
-/// working sets cache-friendly when the pool is oversubscribed.
+/// Samples per chunk during batch inference. Fixed (not derived from the
+/// thread count) so the chunk layout — and therefore every semantic `ml.*`
+/// counter — is identical at any thread count. Kept well under
+/// [`INFER_BATCH`]: a chunk is one GEMM batch either way (every output
+/// element's fold is independent of its neighbours, so the batch split
+/// never changes results), and smaller chunks keep per-thread working sets
+/// cache-friendly.
 const INFER_GRAIN: usize = 32;
 
 /// Upper bound on the NCHW batch assembled at once inside a chunk, keeping
@@ -310,14 +310,14 @@ impl CommCnn {
     }
 
     /// Class-probability vectors for a batch of feature matrices, fanned
-    /// out over the global [`WorkerPool`] with `threads` degree of
-    /// parallelism and one thread-local [`Scratch`] arena per worker
-    /// (buffer contents never leak into results — every use resizes and
-    /// overwrites — so reuse across chunks is free throughput).
+    /// out by [`run_chunked`] with `threads` degree of parallelism and one
+    /// thread-local [`Scratch`] arena per thread (buffer contents never
+    /// leak into results — every use resizes and overwrites — so reuse
+    /// across chunks is free throughput).
     ///
     /// Chunk boundaries depend only on the input length and
     /// [`INFER_GRAIN`], never on `threads`, so the output (and every
-    /// semantic `ml.*` counter) is bitwise identical at any pool size.
+    /// semantic `ml.*` counter) is bitwise identical at any thread count.
     pub fn predict_proba_batch(&self, matrices: &[&Tensor], threads: usize) -> Vec<Vec<f32>> {
         thread_local! {
             static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
@@ -325,16 +325,15 @@ impl CommCnn {
         if matrices.is_empty() {
             return Vec::new();
         }
-        let chunks =
-            WorkerPool::global().run_chunked(matrices.len(), threads, INFER_GRAIN, |range| {
-                SCRATCH.with(|s| {
-                    self.predict_proba_chunk(&matrices[range.start..range.end], &mut s.borrow_mut())
-                })
-            });
+        let chunks = run_chunked(matrices.len(), threads, INFER_GRAIN, |range| {
+            SCRATCH.with(|s| {
+                self.predict_proba_chunk(&matrices[range.start..range.end], &mut s.borrow_mut())
+            })
+        });
         chunks.into_iter().flatten().collect()
     }
 
-    /// Class-probability vectors for one worker's chunk, reusing the
+    /// Class-probability vectors for one chunk, reusing the
     /// caller's scratch arena. Sub-batches at [`INFER_BATCH`] samples to
     /// bound peak activation memory.
     pub fn predict_proba_chunk(

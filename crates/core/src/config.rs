@@ -61,11 +61,11 @@ pub struct LocecConfig {
     pub commcnn: CommCnnConfig,
     /// Phase III logistic-regression hyper-parameters.
     pub lr: LogisticRegressionConfig,
-    /// Worker threads for Phase I/II sweeps (the paper's "servers").
-    /// Phase I runs on the process-wide persistent pool
-    /// (`locec_runtime::WorkerPool::global`), so effective parallelism is
-    /// additionally clamped to the machine's hardware threads; results are
-    /// identical for every value (only wall-clock time changes).
+    /// Threads for the parallel phases (the paper's "servers"). Each
+    /// parallel call (`locec_runtime::run_chunked`) runs on the calling
+    /// thread plus scoped threads that live for that call, clamped to the
+    /// machine's hardware threads; results are identical for every value
+    /// (only wall-clock time changes).
     pub threads: usize,
     /// Minimum fraction of a community's members that must carry labels
     /// before the community gets a ground-truth label (majority vote).

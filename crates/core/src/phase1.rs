@@ -8,34 +8,31 @@
 //!
 //! The computation is embarrassingly parallel over ego nodes ("each node is
 //! parsed separately in a streaming scheme", §V-D). Execution goes through
-//! the persistent [`locec_runtime::WorkerPool`]: ego ids are claimed in
-//! small chunks from a shared cursor, so the power-law hubs that dominate a
-//! statically sharded range re-balance across workers automatically. Chunk
-//! outputs are merged in ego order, which keeps the result bit-identical
-//! for every thread count.
+//! [`locec_runtime::run_chunked`]: ego ids are claimed in small chunks from
+//! a shared cursor, so the power-law hubs that dominate a statically
+//! sharded range re-balance across threads automatically. Chunk outputs are
+//! merged in ego order, which keeps the result bit-identical for every
+//! thread count.
 //!
-//! Each worker thread owns a [`DivideScratch`] arena (ego-network slot,
-//! Girvan–Newman buffers, tightness bitmask) that persists across `divide`
-//! calls, so the steady-state per-ego pipeline performs no heap allocation
-//! beyond the result itself. The original thread-pool-per-call
-//! implementation is preserved in [`reference`] as an executable
-//! specification.
+//! Each thread owns a [`DivideScratch`] arena (ego-network slot,
+//! Girvan–Newman buffers, tightness bitmask) that it reuses for every ego
+//! it divides in a call, so the steady-state per-ego pipeline performs no
+//! heap allocation beyond the result itself. The original
+//! static-sharding implementation is preserved in [`reference`] as an
+//! executable specification.
 
 use crate::config::{CommunityDetector, LocecConfig};
 use crate::features::tightness;
 use locec_community::{girvan_newman_with, label_propagation, louvain, GnScratch};
 use locec_graph::{group_members, CsrGraph, EgoNetwork, EgoScratch, NodeId};
-use locec_runtime::WorkerPool;
+use locec_runtime::run_chunked;
 use std::cell::RefCell;
 
 pub mod reference;
 
 /// One local community: a cluster of `ego`'s friends in `ego`'s ego
 /// network.
-///
-/// (`Default` produces an empty placeholder — only used as the pre-fill
-/// value of parallel merge buffers, never observable in results.)
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct LocalCommunity {
     /// The ego node whose ego network this community lives in.
     pub ego: NodeId,
@@ -125,7 +122,7 @@ impl DivisionResult {
 
     /// Assembles a division from communities in ego order (as produced by
     /// [`divide_range`], or by concatenating shard outputs), building the
-    /// membership table in parallel on the worker pool. This is both
+    /// membership table in parallel chunks. This is both
     /// `divide`'s own merge step and the entry point for combining the
     /// partial results of a sharded multi-process run: because every ego is
     /// computed independently, the result is bit-identical to a
@@ -181,8 +178,8 @@ impl DivisionResult {
 
     /// Parallel membership-table construction: egos are chunked, each chunk
     /// fills the (contiguous) adjacency-slot range of its egos into a local
-    /// buffer, and the buffers are move-concatenated on the pool. Falls
-    /// back to the serial builder when the graph is small. Bit-identical to
+    /// buffer, and the buffers are concatenated in ego order. Falls back to
+    /// the serial builder when the graph is small. Bit-identical to
     /// [`DivisionResult::build_membership`] for every thread count.
     fn build_membership_parallel(
         graph: &CsrGraph,
@@ -197,8 +194,7 @@ impl DivisionResult {
         if threads == 1 || n < 2 * EGO_GRAIN {
             return Self::build_membership(graph, communities);
         }
-        let pool = WorkerPool::global();
-        let chunks: Vec<Vec<u32>> = pool.run_chunked(n, threads, EGO_GRAIN, |range| {
+        let chunks: Vec<Vec<u32>> = run_chunked(n, threads, EGO_GRAIN, |range| {
             let base = graph.adjacency_offset(NodeId(range.start as u32));
             let end = graph.adjacency_offset(NodeId(range.end as u32));
             let mut local = vec![NO_COMMUNITY; end - base];
@@ -218,7 +214,7 @@ impl DivisionResult {
             }
             local
         });
-        pool.concat(threads, chunks)
+        chunks.concat()
     }
 
     /// Builds the adjacency-slot membership table for `communities`
@@ -243,15 +239,16 @@ impl DivisionResult {
     }
 }
 
-/// Ego ids per pool chunk. Small enough that one hub-heavy chunk cannot
+/// Ego ids per chunk. Small enough that one hub-heavy chunk cannot
 /// serialize a call, large enough that the per-chunk bookkeeping (one
-/// mutex write) vanishes against even the cheapest ego networks.
+/// cursor claim) vanishes against even the cheapest ego networks.
 const DIVIDE_GRAIN: usize = 64;
 
 thread_local! {
-    /// Per-thread arena for the divide pipeline. Worker threads are
-    /// persistent, so the arena survives across `divide` calls and the
-    /// steady-state ego loop allocates nothing.
+    /// Per-thread arena for the divide pipeline, reused by every chunk the
+    /// thread runs, so the steady-state ego loop allocates nothing. A
+    /// scoped thread frees its arena when the call ends; the calling
+    /// thread's survives across calls.
     static SCRATCH: RefCell<DivideScratch> = RefCell::new(DivideScratch::default());
 }
 
@@ -298,7 +295,7 @@ pub fn divide_range(
     divide_indexed(graph, egos.len(), |i| NodeId(egos.start + i as u32), config)
 }
 
-/// The pool loop behind [`divide_range`] and [`divide_egos`]: divides the
+/// The parallel loop behind [`divide_range`] and [`divide_egos`]: divides the
 /// egos `ego_at(0..len)` in chunks of [`DIVIDE_GRAIN`] indices and
 /// concatenates the chunks in index order, so the output is bit-identical
 /// for every thread count. Records the `phase1.wall_nanos` span.
@@ -310,8 +307,7 @@ fn divide_indexed(
 ) -> Vec<LocalCommunity> {
     let threads = config.threads.clamp(1, len.max(1));
     let wall = locec_obs::Recorder::global().span("phase1.wall_nanos");
-    let pool = WorkerPool::global();
-    let chunks: Vec<Vec<LocalCommunity>> = pool.run_chunked(len, threads, DIVIDE_GRAIN, |range| {
+    let chunks: Vec<Vec<LocalCommunity>> = run_chunked(len, threads, DIVIDE_GRAIN, |range| {
         SCRATCH.with(|scratch| {
             let scratch = &mut scratch.borrow_mut();
             let mut out = Vec::new();
@@ -321,16 +317,19 @@ fn divide_indexed(
             out
         })
     });
-    let merged = pool.concat(threads, chunks);
+    let mut merged = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+    for chunk in chunks {
+        merged.extend(chunk);
+    }
     drop(wall);
     merged
 }
 
 /// Phase I over an explicit (ascending, deduplicated) ego list — the unit
 /// of work of an incremental update, where the dirty egos of a graph delta
-/// are scattered across the id range. Runs on the worker pool with the
-/// same chunk grain and deterministic chunk-order merge as [`divide_range`],
-/// so the result is bit-identical for every thread count.
+/// are scattered across the id range. Runs with the same chunk grain and
+/// deterministic chunk-order merge as [`divide_range`], so the result is
+/// bit-identical for every thread count.
 pub fn divide_egos(graph: &CsrGraph, egos: &[NodeId], config: &LocecConfig) -> Vec<LocalCommunity> {
     assert!(
         egos.windows(2).all(|w| w[0] < w[1]),
@@ -566,7 +565,7 @@ pub fn divide_one_with(
 /// Cached global-recorder handles for the Phase I hot loop. Counter
 /// totals (egos, per-detector runs, fallbacks, Girvan–Newman's removals,
 /// splits and Brandes sources) are deterministic for a given graph + config
-/// and therefore identical across pool sizes; the ego-latency histogram is
+/// and therefore identical across thread counts; the ego-latency histogram is
 /// the per-ego timing engine comparisons need.
 struct Phase1Metrics {
     egos: locec_obs::Counter,

@@ -17,19 +17,19 @@ use locec_ml::gbdt::Gbdt;
 use locec_ml::linear::argmax;
 use locec_ml::metrics::{evaluate, Evaluation};
 use locec_ml::{Dataset, Scratch, Tensor};
-use locec_runtime::WorkerPool;
+use locec_runtime::run_chunked;
 use locec_synth::types::RelationType;
 use locec_synth::SocialDataset;
 use std::sync::Mutex;
 
-/// Communities per worker-pool chunk for feature building. Feature cost
-/// scales with community size, so the small grain lets the dynamic
-/// scheduler re-balance around the big-community tail.
+/// Communities per chunk for feature building. Feature cost scales with
+/// community size, so the small grain lets the dynamic scheduler
+/// re-balance around the big-community tail.
 const FEATURE_GRAIN: usize = 64;
 
 /// Builds the Algorithm 1 feature matrix of each listed community, in
-/// order, parallelized over the worker pool. Pure per-community work, so
-/// the output is identical for every thread count.
+/// order, in parallel chunks. Pure per-community work, so the output is
+/// identical for every thread count.
 fn feature_matrices(
     data: &SocialDataset<'_>,
     division: &DivisionResult,
@@ -37,27 +37,26 @@ fn feature_matrices(
     config: &LocecConfig,
 ) -> Vec<Tensor> {
     let threads = config.threads.max(1);
-    let chunks: Vec<Vec<Tensor>> =
-        WorkerPool::global().run_chunked(ids.len(), threads, FEATURE_GRAIN, |range| {
-            range
-                .map(|i| {
-                    community_feature_matrix_ordered(
-                        data.graph,
-                        data.interactions,
-                        data.user_features,
-                        &division.communities[ids[i] as usize],
-                        config.k,
-                        config.row_order,
-                        config.seed,
-                    )
-                })
-                .collect()
-        });
+    let chunks: Vec<Vec<Tensor>> = run_chunked(ids.len(), threads, FEATURE_GRAIN, |range| {
+        range
+            .map(|i| {
+                community_feature_matrix_ordered(
+                    data.graph,
+                    data.interactions,
+                    data.user_features,
+                    &division.communities[ids[i] as usize],
+                    config.k,
+                    config.row_order,
+                    config.seed,
+                )
+            })
+            .collect()
+    });
     chunks.into_iter().flatten().collect()
 }
 
 /// Builds the LoCEC-XGB pooled feature vector of each listed community, in
-/// order, parallelized over the worker pool.
+/// order, in parallel chunks.
 fn pooled_rows(
     data: &SocialDataset<'_>,
     division: &DivisionResult,
@@ -65,19 +64,18 @@ fn pooled_rows(
     threads: usize,
 ) -> Vec<Vec<f32>> {
     let threads = threads.max(1);
-    let chunks: Vec<Vec<Vec<f32>>> =
-        WorkerPool::global().run_chunked(ids.len(), threads, FEATURE_GRAIN, |range| {
-            range
-                .map(|i| {
-                    pooled_feature_vector(
-                        data.graph,
-                        data.interactions,
-                        data.user_features,
-                        &division.communities[ids[i] as usize],
-                    )
-                })
-                .collect()
-        });
+    let chunks: Vec<Vec<Vec<f32>>> = run_chunked(ids.len(), threads, FEATURE_GRAIN, |range| {
+        range
+            .map(|i| {
+                pooled_feature_vector(
+                    data.graph,
+                    data.interactions,
+                    data.user_features,
+                    &division.communities[ids[i] as usize],
+                )
+            })
+            .collect()
+    });
     chunks.into_iter().flatten().collect()
 }
 
@@ -219,7 +217,7 @@ impl CommunityClassifier {
     /// Computes `r_C` (embedding + probabilities) for every community.
     ///
     /// Both result matrices are allocated at their final size and split
-    /// into one disjoint row block per pool chunk; each chunk builds its
+    /// into one disjoint row block per chunk; each chunk builds its
     /// features, runs the model and writes its rows in place. Chunk
     /// boundaries depend only on `(n, FEATURE_GRAIN)`, keeping the output —
     /// and the `ml.*` counters — thread-count invariant.
@@ -247,7 +245,7 @@ impl CommunityClassifier {
                 .map(|prob| Mutex::new((emb_blocks.next().unwrap_or_default(), prob)))
                 .collect();
             let threads = config.threads.max(1);
-            WorkerPool::global().run_chunked(n, threads, FEATURE_GRAIN, |range| {
+            run_chunked(n, threads, FEATURE_GRAIN, |range| {
                 let mut slot = slots[range.start / FEATURE_GRAIN]
                     .lock()
                     .unwrap_or_else(|e| e.into_inner());

@@ -13,7 +13,7 @@ use locec_graph::{CsrGraph, EdgeId, NodeId};
 use locec_ml::linear::{BlockScratch, LogisticRegression, LogisticRegressionConfig};
 use locec_ml::metrics::{evaluate, Evaluation};
 use locec_ml::Dataset;
-use locec_runtime::WorkerPool;
+use locec_runtime::run_chunked;
 use locec_synth::types::RelationType;
 use std::cell::RefCell;
 
@@ -169,7 +169,7 @@ impl EdgeClassifier {
     /// Predicted type of every edge in the graph (Fig. 13b distribution).
     ///
     /// Embarrassingly parallel over edges (§V-D): each
-    /// [`locec_runtime::WorkerPool`] chunk builds its edges' vectors as
+    /// [`locec_runtime::run_chunked`] chunk builds its edges' vectors as
     /// feature-major blocks in thread-local scratch and classifies a block
     /// with one GEMM ([`LogisticRegression::predict_block`]). Chunk and
     /// block boundaries depend on the edge count alone and chunk outputs
@@ -183,7 +183,7 @@ impl EdgeClassifier {
         agg: &AggregationResult,
         threads: usize,
     ) -> Vec<RelationType> {
-        /// Edges per pool chunk.
+        /// Edges per chunk.
         const EDGE_GRAIN: usize = 1024;
         /// Edges per GEMM within a chunk. Sixteen times an odd number:
         /// whole kernel panels, and a feature-major column stride of an
@@ -196,31 +196,30 @@ impl EdgeClassifier {
         let m = graph.num_edges();
         let dim = feature_dim(agg);
         let threads = threads.clamp(1, m.max(1));
-        let chunks: Vec<Vec<RelationType>> =
-            WorkerPool::global().run_chunked(m, threads, EDGE_GRAIN, |range| {
-                SCRATCH.with_borrow_mut(|(xt, scratch)| {
-                    let mut labels = Vec::with_capacity(range.len());
-                    let mut parts = Vec::with_capacity(EDGE_BLOCK);
-                    for first in range.clone().step_by(EDGE_BLOCK) {
-                        let rows = EDGE_BLOCK.min(range.end - first);
-                        // Resolve the whole block before copying any of it:
-                        // a resolution is a short chain of dependent cache
-                        // misses, and many short iterations in a row let
-                        // the chains of different edges overlap.
-                        parts.clear();
-                        parts.extend((first..first + rows).map(|e| {
-                            EdgeParts::of(graph, division, agg, EdgeId(e as u32))
-                                .expect("division covers every edge")
-                        }));
-                        xt.resize(dim * rows, 0.0);
-                        for (i, p) in parts.iter().enumerate() {
-                            p.write(&mut xt[i..], rows);
-                        }
-                        self.lr.predict_block(xt, rows, scratch, &mut labels);
+        let chunks: Vec<Vec<RelationType>> = run_chunked(m, threads, EDGE_GRAIN, |range| {
+            SCRATCH.with_borrow_mut(|(xt, scratch)| {
+                let mut labels = Vec::with_capacity(range.len());
+                let mut parts = Vec::with_capacity(EDGE_BLOCK);
+                for first in range.clone().step_by(EDGE_BLOCK) {
+                    let rows = EDGE_BLOCK.min(range.end - first);
+                    // Resolve the whole block before copying any of it:
+                    // a resolution is a short chain of dependent cache
+                    // misses, and many short iterations in a row let
+                    // the chains of different edges overlap.
+                    parts.clear();
+                    parts.extend((first..first + rows).map(|e| {
+                        EdgeParts::of(graph, division, agg, EdgeId(e as u32))
+                            .expect("division covers every edge")
+                    }));
+                    xt.resize(dim * rows, 0.0);
+                    for (i, p) in parts.iter().enumerate() {
+                        p.write(&mut xt[i..], rows);
                     }
-                    labels.into_iter().map(RelationType::from_label).collect()
-                })
-            });
+                    self.lr.predict_block(xt, rows, scratch, &mut labels);
+                }
+                labels.into_iter().map(RelationType::from_label).collect()
+            })
+        });
         chunks.into_iter().flatten().collect()
     }
 }

@@ -5,7 +5,7 @@ use std::fmt;
 /// The five rules. Every finding carries exactly one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// `unsafe` tokens permitted only in the runtime crate.
+    /// No `unsafe` token anywhere; every crate root forbids it.
     R1,
     /// No `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!` in the
     /// typed-error crates' non-test code.
@@ -33,7 +33,7 @@ impl RuleId {
     /// The human slug, also accepted in pragmas.
     pub fn slug(self) -> &'static str {
         match self {
-            RuleId::R1 => "unsafe-containment",
+            RuleId::R1 => "no-unsafe",
             RuleId::R2 => "panic-freedom",
             RuleId::R3 => "wire-constant-single-declaration",
             RuleId::R4 => "protocol-exhaustiveness",

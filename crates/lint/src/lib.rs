@@ -8,7 +8,7 @@
 //! (std-only — no syn, no rustc) token-level analysis over every workspace
 //! source file:
 //!
-//! * **R1 unsafe-containment** — `unsafe` only in `crates/runtime`.
+//! * **R1 no-unsafe** — no `unsafe` anywhere; every crate root forbids it.
 //! * **R2 panic-freedom** — no `unwrap`/`expect`/`panic!`/`unreachable!`/
 //!   `todo!` in the typed-error crates' non-test code.
 //! * **R3 wire-constant single-declaration** — magic bytes, format

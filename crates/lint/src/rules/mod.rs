@@ -1,8 +1,8 @@
 //! The rule engine: configuration and dispatch for R1–R5.
 //!
 //! [`LintConfig::locec_defaults`] encodes this workspace's invariants —
-//! which crate may contain `unsafe`, which crates must be panic-free,
-//! where each wire constant and registry enum is declared. The engine
+//! which crates must be panic-free, where each wire constant and registry
+//! enum is declared. R1 (no `unsafe` anywhere) needs no config. The engine
 //! itself is generic: the fixture tests run the same rules over a
 //! miniature fake workspace with the same config.
 
@@ -49,8 +49,6 @@ pub struct Registry {
 /// Everything the rules need to know about the workspace's invariants.
 #[derive(Clone, Debug)]
 pub struct LintConfig {
-    /// Path prefixes where `unsafe` is permitted (R1).
-    pub unsafe_allowed_prefixes: Vec<String>,
     /// Path prefixes whose non-test code must be panic-free (R2).
     pub panic_scope_prefixes: Vec<String>,
     /// Single-declaration magic literals (R3).
@@ -69,7 +67,6 @@ impl LintConfig {
     pub fn locec_defaults() -> Self {
         let s = |v: &[&str]| v.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
         LintConfig {
-            unsafe_allowed_prefixes: s(&["crates/runtime/"]),
             panic_scope_prefixes: s(&[
                 "crates/store/src/",
                 "crates/cluster/src/",
@@ -157,7 +154,7 @@ impl LintConfig {
 /// un-suppressed; the caller applies pragmas, ordering and the baseline.
 pub fn run_all(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
-    findings.extend(r1_unsafe::run(ws, cfg));
+    findings.extend(r1_unsafe::run(ws));
     findings.extend(r2_panic::run(ws, cfg));
     findings.extend(r3_wire::run(ws, cfg));
     findings.extend(r4_registry::run(ws, cfg));

@@ -1,25 +1,18 @@
-//! R1 — unsafe-containment: `unsafe` tokens are permitted only inside the
-//! configured runtime prefix. Everywhere else — library code, tests,
-//! benches — an `unsafe` keyword is a containment breach, because the
-//! workspace's soundness argument ("all unsafe lives in `crates/runtime`
-//! and is reviewed there") stops being checkable the moment a second
-//! crate acquires any.
+//! R1 — no-unsafe: the workspace contains no `unsafe` token anywhere —
+//! library code, tests, benches. Its parallelism runs on
+//! `std::thread::scope`, whose soundness the standard library proves, so
+//! there is no soundness argument of the workspace's own to review.
 //!
-//! The containment is also locked in at the source: every crate root
-//! (`src/lib.rs`) outside the runtime prefix must carry
-//! `#![forbid(unsafe_code)]`, so a breach fails `rustc` itself, not just
-//! this lint.
+//! The rule is also locked in at the source: every crate root
+//! (`src/lib.rs`) must carry `#![forbid(unsafe_code)]`, so a breach fails
+//! `rustc` itself, not just this lint.
 
-use super::{in_scope, LintConfig};
 use crate::diagnostics::{Finding, RuleId};
 use crate::workspace::Workspace;
 
-pub(super) fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
+pub(super) fn run(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     for file in &ws.files {
-        if in_scope(&file.rel, &cfg.unsafe_allowed_prefixes) {
-            continue;
-        }
         let tokens = file.tokens();
         for tok in tokens {
             if tok.is_ident("unsafe") {
@@ -28,11 +21,8 @@ pub(super) fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
                     file: file.rel.clone(),
                     line: tok.line,
                     col: tok.col,
-                    message: format!(
-                        "`unsafe` outside the runtime crate (allowed prefixes: {}) — move the \
-                         unsafe code behind a safe runtime API instead",
-                        cfg.unsafe_allowed_prefixes.join(", ")
-                    ),
+                    message: "`unsafe` in a workspace with none — use a safe std API instead"
+                        .to_owned(),
                     baselined: false,
                 });
             }
@@ -44,7 +34,7 @@ pub(super) fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
                 line: 1,
                 col: 1,
                 message: "crate root is missing `#![forbid(unsafe_code)]` — every crate \
-                          outside the runtime prefix must lock unsafe out at the compiler level"
+                          must lock unsafe out at the compiler level"
                     .to_owned(),
                 baselined: false,
             });

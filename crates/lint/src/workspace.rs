@@ -11,7 +11,7 @@
 //! a file is *test-only* when it lives under a `tests/` or `benches/`
 //! directory, and within library files the body of every
 //! `#[cfg(test)] mod … { … }` is recorded as a token span. The panic
-//! rule (R2) and the lock rule (R5) skip test code; the containment and
+//! rule (R2) and the lock rule (R5) skip test code; the no-unsafe and
 //! wire rules (R1, R3) deliberately do not — an `unsafe` block or a
 //! duplicated magic literal is drift wherever it appears.
 

@@ -1,6 +1,6 @@
-//! Known-bad fixture for R1: an `unsafe` block outside the runtime crate.
-//! The path mirrors a real store-crate module so the containment rule is
-//! exercised exactly as it would be on the live tree. Everything else in
+//! Known-bad fixture for R1: an `unsafe` block in a workspace with none.
+//! The path mirrors a real store-crate module so the rule is exercised
+//! exactly as it would be on the live tree. Everything else in
 //! this file is deliberately clean — no panics, no wire constants.
 
 pub fn first_byte(v: &[u8]) -> Option<u8> {

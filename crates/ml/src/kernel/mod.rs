@@ -47,11 +47,10 @@
 //! All fast-path temporaries (im2col columns, GEMM packing buffers, weight
 //! permutations) live in a caller-provided [`Scratch`] arena. A `Scratch`
 //! grows to the high-water mark of the ops run through it and is fully
-//! overwritten by each op — callers keep one per worker (inference) or one
+//! overwritten by each op — callers keep one per thread (inference) or one
 //! per training loop and reuse it across calls; nothing leaks between
 //! calls. This is what lets `forward(&self, input, &mut Scratch)` be
-//! immutable on the layer and therefore shareable across `WorkerPool`
-//! threads.
+//! immutable on the layer and therefore shareable across threads.
 
 pub mod fast;
 pub mod im2col;

@@ -31,8 +31,8 @@
 //!   a few hundred — so every A panel fits in L1/L2 anyway and k-blocking
 //!   would buy nothing.
 //!
-//! The micro-kernel is plain safe Rust (the workspace confines `unsafe` to
-//! `crates/runtime`): fixed-size local arrays keep the MR×NR accumulator
+//! The micro-kernel is plain safe Rust (the workspace has no `unsafe`):
+//! fixed-size local arrays keep the MR×NR accumulator
 //! block in vector registers, and slice-to-array copies give LLVM
 //! bounds-check-free, vectorizable inner loops.
 

@@ -8,8 +8,8 @@
 //!
 //! * [`Layer::forward`] takes `&self` plus a caller-provided
 //!   [`Scratch`] arena and mutates nothing on the layer — a trained network
-//!   is therefore shareable across `WorkerPool` threads, each worker
-//!   holding its own scratch.
+//!   is therefore shareable across threads, each thread holding its own
+//!   scratch.
 //! * [`Layer::forward_train`] takes `&mut self` and caches whatever the
 //!   backward pass requires; [`Layer::backward`] consumes the cache and
 //!   accumulates parameter gradients.

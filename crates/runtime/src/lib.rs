@@ -1,20 +1,21 @@
+#![forbid(unsafe_code)]
 //! Execution runtime for LoCEC's parallel phases.
 //!
 //! The paper's scale story (§V-D: "each node is parsed separately in a
-//! streaming scheme") makes Phase I embarrassingly parallel over ego nodes,
-//! but a thread-pool-per-call with static sharding loses twice on real
-//! social graphs: spawn/join overhead is paid on every invocation, and the
-//! power-law degree distribution concentrates the heaviest ego networks in
-//! a few shards, serializing the whole call on the unlucky worker.
+//! streaming scheme") makes every phase embarrassingly parallel over nodes,
+//! but static sharding loses on real social graphs: the power-law degree
+//! distribution concentrates the heaviest ego networks in a few shards,
+//! serializing the whole call on the unlucky thread.
 //!
-//! [`WorkerPool`] fixes both. Workers are spawned once per process and
-//! parked on a condvar between jobs, and work is distributed as small
-//! chunks claimed from a shared cursor (work-stealing-style dynamic
-//! self-scheduling), so a worker that draws a cheap chunk immediately goes
-//! back for more instead of idling behind a hub node. Results are merged in
-//! chunk order, which keeps every parallel computation bit-identical across
-//! pool sizes.
+//! [`run_chunked`] is a fork-join over small fixed-grain chunks claimed from
+//! a shared cursor (dynamic self-scheduling) by the caller and a few
+//! `std::thread::scope` threads, so a thread that draws a cheap chunk
+//! immediately goes back for more instead of idling behind a hub node.
+//! Outputs are placed in chunk order, which keeps every parallel
+//! computation bit-identical across thread counts. Threads live for one
+//! call; the standard library's scope, not this crate, proves the borrows
+//! sound.
 
-pub mod pool;
+mod pool;
 
-pub use pool::WorkerPool;
+pub use pool::run_chunked;

@@ -1,37 +1,36 @@
-//! A persistent, dependency-free worker pool.
+//! Fork-join over fixed-grain chunks on scoped threads.
 //!
-//! Design: `N` OS threads are spawned once and parked on a condvar. A job is
-//! a borrowed `&(dyn Fn(usize) + Sync)` broadcast to up to `parallelism - 1`
-//! workers plus the submitting thread itself; the submitter blocks until the
-//! last participant finishes, which is what makes lending a non-`'static`
-//! closure to `'static` worker threads sound (see `Job` below). On top of
-//! that, [`WorkerPool::run_chunked`] implements dynamic self-scheduling:
-//! items are grouped into fixed-grain chunks and workers claim the next
-//! chunk from a shared atomic cursor, so skewed per-item costs (power-law
-//! ego networks) re-balance automatically. Chunk outputs are collected into
-//! per-chunk slots and concatenated in chunk order, making the result
-//! independent of the number of workers and of scheduling order.
+//! [`run_chunked`] splits `0..n` into chunks of `grain` items. The calling
+//! thread and up to `parallelism - 1` threads spawned in a
+//! `std::thread::scope` claim chunks from a shared atomic cursor (dynamic
+//! self-scheduling), so skewed per-item costs (power-law ego networks)
+//! re-balance automatically. Each participant returns its `(chunk, output)`
+//! pairs through its join handle and the caller places them by chunk index,
+//! making the result independent of the number of participants and of
+//! scheduling order. The scope joins every thread before the call returns,
+//! which is what lets chunks borrow the caller's data without `unsafe`.
 
+use std::cell::Cell;
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Cached handles into the global recorder — looked up once, recorded
 /// into lock-free forever after, so instrumentation never serializes the
 /// chunk loop.
 struct PoolMetrics {
-    /// Chunks executed (identical across pool sizes for the same work).
+    /// Chunks executed (identical across thread counts for the same work).
     chunks: locec_obs::Counter,
-    /// Chunks claimed by a participant other than the submitter.
+    /// Chunks claimed by a participant other than the calling thread.
     steals: locec_obs::Counter,
     /// Total nanoseconds participants spent inside chunk bodies.
     busy_nanos: locec_obs::Counter,
     /// Per-chunk latency distribution.
     chunk_nanos: locec_obs::Histogram,
-    /// `broadcast` invocations (including those nested/inlined).
+    /// Calls granted more than one participant (including nested calls,
+    /// which then run inline).
     broadcasts: locec_obs::Counter,
 }
 
@@ -50,10 +49,10 @@ impl PoolMetrics {
         })
     }
 
-    fn record_chunk(&self, slot: usize, start: Instant) {
+    fn record_chunk(&self, participant: usize, start: Instant) {
         let nanos = locec_obs::metrics::saturating_nanos(start);
         self.chunks.incr();
-        if slot != 0 {
+        if participant != 0 {
             self.steals.incr();
         }
         self.busy_nanos.add(nanos);
@@ -61,405 +60,148 @@ impl PoolMetrics {
     }
 }
 
-/// A lifetime-erased pointer to the submitter's task closure.
-///
-/// # Soundness
-/// The referent is a `&(dyn Fn(usize) + Sync)` borrowed from the stack frame
-/// of [`WorkerPool::broadcast`]. That frame does not return (or unwind past
-/// cleanup) until `State::running == 0` **and** the job slot has been
-/// cleared, so no worker can observe the pointer after the borrow ends.
-/// Raw pointers carry no lifetime, hence no transmute is needed; the only
-/// unsafe operations are the `Send` impl and the dereference in the worker.
-#[derive(Copy, Clone)]
-struct Job {
-    task: *const (dyn Fn(usize) + Sync),
-}
-
-// SAFETY: the pointee is `Sync` (shared calls are safe) and outlives the job
-// per the protocol documented on `Job`.
-unsafe impl Send for Job {}
-
-struct State {
-    /// Currently broadcast job, if any.
-    job: Option<Job>,
-    /// Bumped once per job so a worker never joins the same job twice.
-    epoch: u64,
-    /// Workers still allowed to join the current job.
-    remaining_slots: usize,
-    /// Next participant slot id to hand out (0 is the submitter).
-    next_slot: usize,
-    /// Workers currently executing the current job.
-    running: usize,
-    /// Set when any participant panicked inside the task.
-    panicked: bool,
-    /// Pool is shutting down; workers exit.
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    /// Wakes parked workers when a job is published (or on shutdown).
-    work_cv: Condvar,
-    /// Wakes the submitter when the last worker finishes, and queued
-    /// submitters when the pool becomes idle.
-    done_cv: Condvar,
-}
-
-impl Shared {
-    fn lock(&self) -> MutexGuard<'_, State> {
-        // Worker panics are caught before the lock is re-acquired, so the
-        // mutex can only be poisoned by a panic in this module's own locked
-        // sections; recover defensively instead of cascading.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 thread_local! {
-    /// True while this thread is executing a pool task; nested `broadcast`
-    /// calls from inside a task run inline instead of deadlocking on the
-    /// single shared job slot.
-    static IN_POOL_TASK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// True while this thread runs chunks; a nested [`run_chunked`] from
+    /// inside a chunk runs inline instead of multiplying threads.
+    static IN_CHUNK: Cell<bool> = const { Cell::new(false) };
 }
 
-/// A persistent pool of worker threads. See the module docs.
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    workers: usize,
-    handles: Vec<JoinHandle<()>>,
+/// Marks the current thread as running chunks until dropped. Restoring on
+/// drop (not after the loop) keeps the mark right when a chunk unwinds.
+struct InChunk(bool);
+
+impl InChunk {
+    fn enter() -> Self {
+        InChunk(IN_CHUNK.replace(true))
+    }
 }
 
-impl WorkerPool {
-    /// Spawns a pool with `workers` persistent worker threads (0 is valid:
-    /// every call then runs inline on the submitting thread).
-    pub fn new(workers: usize) -> Self {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                job: None,
-                epoch: 0,
-                remaining_slots: 0,
-                next_slot: 0,
-                running: 0,
-                panicked: false,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("locec-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        WorkerPool {
-            shared,
-            workers,
-            handles,
+impl Drop for InChunk {
+    fn drop(&mut self) {
+        IN_CHUNK.set(self.0);
+    }
+}
+
+/// Parallel map over `0..n` in chunks of `grain` items: `f` is called once
+/// per chunk with the chunk's item range, chunks are claimed dynamically by
+/// up to `parallelism` participants, and the outputs are returned in chunk
+/// order. The result is therefore identical for every `parallelism`
+/// (including 1) — only wall-clock time changes. A panic in any chunk is
+/// re-raised here once every participant has stopped.
+pub fn run_chunked<T, F>(n: usize, parallelism: usize, grain: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(Range<usize>) -> T + Sync,
+{
+    let metrics = PoolMetrics::get();
+    let grain = grain.max(1);
+    let num_chunks = n.div_ceil(grain);
+    // `parallelism` is an upper bound, not a demand: participants beyond
+    // the machine's concurrency only timeslice each other on the same
+    // cores (measurably slower for CPU-bound chunks), so cap there. Chunk
+    // layout is fixed by `n` and `grain` alone, so this changes scheduling
+    // only — never results.
+    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let mut participants = parallelism.min(hw).min(num_chunks).max(1);
+    if participants > 1 {
+        metrics.broadcasts.incr();
+        if IN_CHUNK.get() {
+            participants = 1;
         }
     }
 
-    /// The process-wide pool, created on first use with one worker per
-    /// available hardware thread. A job's `parallelism` is honored up to
-    /// that pool size plus the submitting thread; requesting more is
-    /// clamped (oversubscribing CPU-bound work buys nothing, and the
-    /// dynamic chunk scheduler keeps every granted worker busy).
-    pub fn global() -> &'static WorkerPool {
-        static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let workers = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4);
-            WorkerPool::new(workers)
-        })
-    }
-
-    /// Number of persistent worker threads (the submitter adds one more
-    /// participant on top during a job).
-    pub fn num_workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs `task(slot)` concurrently on up to `parallelism` participants:
-    /// the calling thread (slot 0) plus at most `parallelism - 1` pool
-    /// workers. Blocks until every participant has returned. Panics from any
-    /// participant are re-raised here after all others finished.
-    pub fn broadcast<F: Fn(usize) + Sync>(&self, parallelism: usize, task: F) {
-        PoolMetrics::get().broadcasts.incr();
-        let extra = parallelism.saturating_sub(1).min(self.workers);
-        if extra == 0 || IN_POOL_TASK.with(|f| f.get()) {
-            task(0);
-            return;
-        }
-
-        let task_ref: &(dyn Fn(usize) + Sync + '_) = &task;
-        // SAFETY: erases only the trait object's lifetime bound ('_ →
-        // 'static). The protocol documented on `Job` guarantees no worker
-        // dereferences the pointer after this function returns.
-        let job = Job {
-            task: unsafe {
-                std::mem::transmute::<
-                    *const (dyn Fn(usize) + Sync + '_),
-                    *const (dyn Fn(usize) + Sync + 'static),
-                >(task_ref as *const (dyn Fn(usize) + Sync + '_))
-            },
-        };
-
-        {
-            let mut st = self.shared.lock();
-            // One job at a time: queue behind an in-flight broadcast from
-            // another thread.
-            while st.job.is_some() || st.running > 0 {
-                st = self
-                    .shared
-                    .done_cv
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-            st.job = Some(job);
-            st.epoch += 1;
-            st.remaining_slots = extra;
-            st.next_slot = 1;
-            st.panicked = false;
-            self.shared.work_cv.notify_all();
-        }
-
-        // The submitter participates as slot 0.
-        IN_POOL_TASK.with(|f| f.set(true));
-        let caller_result = catch_unwind(AssertUnwindSafe(|| task(0)));
-        IN_POOL_TASK.with(|f| f.set(false));
-
-        // Close the job and wait for in-flight workers; only after this may
-        // the borrow of `task` end. `job` stays occupied (with joining
-        // disabled via `remaining_slots = 0`) until this submitter has read
-        // its own job's panic flag — clearing it earlier would admit a
-        // queued submitter whose publish step resets `panicked`, losing or
-        // misattributing a worker panic from this job.
-        let worker_panicked;
-        {
-            let mut st = self.shared.lock();
-            st.remaining_slots = 0;
-            while st.running > 0 {
-                st = self
-                    .shared
-                    .done_cv
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-            worker_panicked = st.panicked;
-            st.panicked = false;
-            st.job = None;
-            // Wake any submitter queued behind this job.
-            self.shared.done_cv.notify_all();
-        }
-
-        if let Err(payload) = caller_result {
-            resume_unwind(payload);
-        }
-        if worker_panicked {
-            panic!("WorkerPool task panicked on a worker thread");
-        }
-    }
-
-    /// Parallel map over `0..n` in chunks of `grain` items: `f` is called
-    /// once per chunk with the chunk's item range, chunks are claimed
-    /// dynamically by up to `parallelism` participants, and the outputs are
-    /// returned in chunk order. The result is therefore identical for every
-    /// `parallelism` (including 1) — only wall-clock time changes.
-    pub fn run_chunked<T, F>(&self, n: usize, parallelism: usize, grain: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> T + Sync,
-    {
-        // `parallelism` is an upper bound, not a demand: participants beyond
-        // the machine's concurrency only timeslice each other on the same
-        // cores (measurably slower for CPU-bound chunks), so cap there.
-        // Chunk layout is fixed by `n` and `grain` alone, so this changes
-        // scheduling only — never results.
-        let hw = std::thread::available_parallelism().map_or(usize::MAX, |p| p.get());
-        let parallelism = parallelism.min(hw);
-        let grain = grain.max(1);
-        let num_chunks = n.div_ceil(grain);
-        if num_chunks == 0 {
-            return Vec::new();
-        }
-        let metrics = PoolMetrics::get();
-        let chunk_range = |c: usize| (c * grain)..((c + 1) * grain).min(n);
-        if parallelism <= 1 || self.workers == 0 || num_chunks == 1 {
-            return (0..num_chunks)
-                .map(|c| {
-                    let t0 = Instant::now();
-                    let out = f(chunk_range(c));
-                    metrics.record_chunk(0, t0);
-                    out
-                })
-                .collect();
-        }
-
-        let slots: Vec<Mutex<Option<T>>> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        self.broadcast(parallelism.min(num_chunks), |slot| loop {
+    // Relaxed suffices: the cursor only hands out chunk indices, and the
+    // outputs reach the caller through the joins, which synchronize.
+    let cursor = AtomicUsize::new(0);
+    let work = |participant: usize| {
+        let _in_chunk = InChunk::enter();
+        let mut done = Vec::new();
+        loop {
             let c = cursor.fetch_add(1, Ordering::Relaxed);
             if c >= num_chunks {
-                break;
+                return done;
             }
             let t0 = Instant::now();
-            let out = f(chunk_range(c));
-            metrics.record_chunk(slot, t0);
-            *slots[c].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("every chunk is computed before broadcast returns")
-            })
-            .collect()
+            done.push((c, f(c * grain..((c + 1) * grain).min(n))));
+            metrics.record_chunk(participant, t0);
+        }
+    };
+    let parts: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+        let work = &work;
+        let helpers: Vec<_> = (1..participants)
+            .map(|p| scope.spawn(move || work(p)))
+            .collect();
+        let mut parts = vec![work(0)];
+        for helper in helpers {
+            parts.push(
+                helper
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload)),
+            );
+        }
+        parts
+    });
+
+    let mut slots: Vec<Option<T>> = (0..num_chunks).map(|_| None).collect();
+    for (c, out) in parts.into_iter().flatten() {
+        slots[c] = Some(out);
     }
-
-    /// Ordered move-concatenation of `parts` into one `Vec`, equivalent to
-    /// `parts.into_iter().flatten().collect()` but with the element moves
-    /// spread over up to `parallelism` participants. The output is
-    /// pre-filled with `T::default()` placeholders and pre-split into one
-    /// disjoint `&mut` slice per part, each handed to exactly one claimant
-    /// through a `Mutex<Option<_>>` slot — order is positional, so the
-    /// result is identical for every parallelism level.
-    ///
-    /// This is the merge step of Phase I-style computations: `run_chunked`
-    /// produces per-chunk output vectors, and at high core counts the
-    /// serial `extend` loop over them becomes the bottleneck.
-    pub fn concat<T: Send + Default>(&self, parallelism: usize, parts: Vec<Vec<T>>) -> Vec<T> {
-        let total: usize = parts.iter().map(Vec::len).sum();
-        // Below this size the per-part synchronization costs more than the
-        // serial element moves it saves.
-        const PARALLEL_THRESHOLD: usize = 1 << 14;
-        if parallelism <= 1 || self.workers == 0 || total < PARALLEL_THRESHOLD {
-            let mut out = Vec::with_capacity(total);
-            for p in parts {
-                out.extend(p);
-            }
-            return out;
-        }
-
-        let mut out = Vec::new();
-        out.resize_with(total, T::default);
-        {
-            let mut tail = out.as_mut_slice();
-            let tasks: Vec<Mutex<Option<(&mut [T], Vec<T>)>>> = parts
-                .into_iter()
-                .map(|p| {
-                    let (head, rest) = std::mem::take(&mut tail).split_at_mut(p.len());
-                    tail = rest;
-                    Mutex::new(Some((head, p)))
-                })
-                .collect();
-            let cursor = AtomicUsize::new(0);
-            self.broadcast(parallelism.min(tasks.len()), |_slot| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks.len() {
-                    break;
-                }
-                let (dst, src) = tasks[i]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .expect("each part is claimed exactly once");
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d = s;
-                }
-            });
-        }
-        out
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.lock();
-            st.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    let mut seen_epoch = 0u64;
-    loop {
-        let job;
-        let slot;
-        {
-            let mut st = shared.lock();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.job.is_some() && st.epoch != seen_epoch && st.remaining_slots > 0 {
-                    break;
-                }
-                st = shared.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-            seen_epoch = st.epoch;
-            st.remaining_slots -= 1;
-            slot = st.next_slot;
-            st.next_slot += 1;
-            st.running += 1;
-            job = st.job.expect("checked above");
-        }
-
-        IN_POOL_TASK.with(|f| f.set(true));
-        // SAFETY: see `Job` — the submitter keeps the closure alive until
-        // `running` returns to 0, which cannot happen before this call ends.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.task)(slot) }));
-        IN_POOL_TASK.with(|f| f.set(false));
-
-        let mut st = shared.lock();
-        st.running -= 1;
-        if result.is_err() {
-            st.panicked = true;
-        }
-        if st.running == 0 {
-            shared.done_cv.notify_all();
-        }
-    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every chunk is claimed exactly once"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{Condvar, Mutex};
+    use std::thread::ThreadId;
+    use std::time::Duration;
+
+    fn hardware_threads() -> usize {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    }
+
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
 
     #[test]
     fn chunked_results_are_in_item_order() {
-        let pool = WorkerPool::new(3);
-        let out = pool.run_chunked(100, 4, 7, |r| r.map(|i| i * i).collect::<Vec<_>>());
+        let out = run_chunked(100, 4, 7, |r| r.map(|i| i * i).collect::<Vec<_>>());
         let flat: Vec<usize> = out.into_iter().flatten().collect();
         assert_eq!(flat, (0..100).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn identical_across_parallelism_levels() {
-        let pool = WorkerPool::new(4);
-        let run =
-            |p: usize| pool.run_chunked(257, p, 16, |r| r.map(|i| i as u64 * 31).sum::<u64>());
-        let base = run(1);
-        for p in [2, 3, 8, 64] {
-            assert_eq!(run(p), base, "parallelism {p} diverged");
+        // 257 items span many chunks, 16 items exactly one, 0 items none.
+        for n in [257, 16, 0] {
+            let run = |p: usize| {
+                run_chunked(n, p, 16, |r| {
+                    (r.start, r.map(|i| i as u64 * 31).sum::<u64>())
+                })
+            };
+            let base = run(1);
+            assert_eq!(base.len(), n.div_ceil(16));
+            for p in [2, 3, 8, 64] {
+                assert_eq!(run(p), base, "n {n}, parallelism {p} diverged");
+            }
         }
     }
 
     #[test]
     fn skewed_chunks_all_complete() {
-        let pool = WorkerPool::new(2);
         // One chunk vastly heavier than the rest: dynamic scheduling must
         // still produce all outputs.
-        let out = pool.run_chunked(32, 3, 1, |r| {
+        let out = run_chunked(32, 3, 1, |r| {
             let i = r.start;
             if i == 0 {
                 (0..200_000u64).sum::<u64>() + i as u64
@@ -472,148 +214,113 @@ mod tests {
     }
 
     #[test]
-    fn pool_is_reusable_across_jobs() {
-        let pool = WorkerPool::new(2);
-        let counter = AtomicU64::new(0);
-        for _ in 0..50 {
-            pool.broadcast(3, |_| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        // Each broadcast runs the task once per participant (1 submitter +
-        // up to 2 workers); at minimum the submitter ran every time.
-        assert!(counter.load(Ordering::Relaxed) >= 50);
-    }
-
-    #[test]
     fn zero_items_and_zero_workers() {
-        let pool = WorkerPool::new(0);
-        let empty: Vec<u32> = pool.run_chunked(0, 4, 8, |_| 1u32);
+        let empty: Vec<u32> = run_chunked(0, 4, 8, |_| 1u32);
         assert!(empty.is_empty());
-        let inline = pool.run_chunked(10, 4, 4, |r| r.len() as u32);
+        // Parallelism 0 means no helpers: the caller runs every chunk.
+        let inline = run_chunked(10, 0, 4, |r| r.len() as u32);
         assert_eq!(inline, vec![4, 4, 2]);
     }
 
     #[test]
-    fn nested_broadcast_runs_inline() {
-        let pool = WorkerPool::new(2);
-        let hits = AtomicU64::new(0);
-        pool.broadcast(2, |_| {
-            pool.broadcast(2, |_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
+    fn distinct_threads_never_exceed_available_parallelism() {
+        let seen = Mutex::new(HashSet::<ThreadId>::new());
+        let record = || {
+            seen.lock().unwrap().insert(std::thread::current().id());
+        };
+        run_chunked(64, 64, 1, |_| {
+            record();
+            // Nested calls run inline, so they add no threads either.
+            run_chunked(8, 64, 1, |_| record());
         });
-        assert!(hits.load(Ordering::Relaxed) >= 1);
+        let distinct = seen.into_inner().unwrap().len();
+        assert!(
+            (1..=hardware_threads()).contains(&distinct),
+            "{distinct} threads ran chunks on a {}-thread machine",
+            hardware_threads()
+        );
+    }
+
+    #[test]
+    fn nested_broadcast_runs_inline() {
+        let out = run_chunked(4, 4, 1, |_| {
+            let outer = std::thread::current().id();
+            let inner = run_chunked(8, 8, 1, |_| std::thread::current().id());
+            inner.iter().all(|&id| id == outer)
+        });
+        assert_eq!(out, vec![true; 4]);
     }
 
     #[test]
     fn panic_in_task_propagates() {
-        let pool = WorkerPool::new(2);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_chunked(16, 4, 1, |r| {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_chunked(16, 4, 1, |r| {
                 if r.start == 7 {
                     panic!("boom");
                 }
                 r.start
             })
         }));
-        assert!(result.is_err());
-        // Pool must stay usable after a panicked job.
-        let ok = pool.run_chunked(8, 4, 2, |r| r.start);
+        let payload = result.expect_err("the chunk's panic reaches the caller");
+        assert_eq!(panic_message(payload.as_ref()), "boom");
+        // Later calls are unaffected.
+        let ok = run_chunked(8, 4, 2, |r| r.start);
         assert_eq!(ok, vec![0, 2, 4, 6]);
     }
 
     #[test]
+    fn caller_fans_out_again_after_its_chunk_panicked() {
+        // Every chunk panics, so each participant panics in the first chunk
+        // it claims — the calling thread included.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_chunked::<(), _>(2, 2, 1, |_| panic!("boom"))
+        }));
+        assert!(result.is_err());
+        // Each chunk waits for the other's thread, so a second thread must
+        // claim one. Had the in-chunk mark survived the unwind, this call
+        // would run inline on one thread, and the waits would time out.
+        let want = hardware_threads().min(2);
+        let seen = Mutex::new(HashSet::<ThreadId>::new());
+        let arrived = Condvar::new();
+        run_chunked(2, 2, 1, |_| {
+            let mut ids = seen.lock().unwrap();
+            ids.insert(std::thread::current().id());
+            arrived.notify_all();
+            let timeout = Duration::from_secs(10);
+            drop(arrived.wait_timeout_while(ids, timeout, |ids| ids.len() < want));
+        });
+        assert_eq!(seen.into_inner().unwrap().len(), want);
+    }
+
+    #[test]
     fn concurrent_broadcasts_attribute_panics_to_their_own_job() {
-        // Regression: the job slot must stay occupied until its submitter
-        // has read the panic flag; otherwise a queued submitter's publish
-        // step resets `panicked` and a worker panic is lost (or observed by
-        // the wrong submitter).
-        let pool = WorkerPool::new(2);
+        // Two threads calling at once: each sees only its own outputs and
+        // its own panics.
         std::thread::scope(|scope| {
             let panicker = scope.spawn(|| {
-                for _ in 0..200 {
+                for i in 0..200usize {
                     let r = catch_unwind(AssertUnwindSafe(|| {
-                        pool.broadcast(3, |slot| {
-                            if slot != 0 {
-                                panic!("worker boom");
+                        run_chunked(16, 3, 4, |r| {
+                            if r.start == 4 {
+                                panic!("job {i} boom");
                             }
+                            r.start
                         })
                     }));
-                    // May legitimately succeed when no worker joined in
-                    // time, but must never panic for any other reason than
-                    // the propagated worker panic.
-                    if let Err(p) = r {
-                        let msg = p
-                            .downcast_ref::<&str>()
-                            .copied()
-                            .map(str::to_owned)
-                            .or_else(|| p.downcast_ref::<String>().cloned())
-                            .unwrap_or_default();
-                        assert!(msg.contains("panicked"), "unexpected panic: {msg}");
-                    }
+                    let payload = r.expect_err("the job's own panic propagates");
+                    assert_eq!(panic_message(payload.as_ref()), format!("job {i} boom"));
                 }
             });
             let clean = scope.spawn(|| {
                 for i in 0..200usize {
-                    let out = pool.run_chunked(16, 3, 4, |r| r.start + i);
+                    let out = run_chunked(16, 3, 4, |r| r.start + i);
                     assert_eq!(out, vec![i, 4 + i, 8 + i, 12 + i]);
                 }
             });
-            panicker.join().expect("panicking submitter thread");
+            panicker.join().expect("panicking caller thread");
             clean
                 .join()
-                .expect("clean submitter must never observe a foreign panic");
+                .expect("clean caller must never observe a foreign panic");
         });
-    }
-
-    #[test]
-    fn concat_matches_flatten_for_every_parallelism() {
-        let pool = WorkerPool::new(3);
-        // Large enough to cross the parallel threshold, with skewed and
-        // empty parts.
-        let make_parts = || -> Vec<Vec<u64>> {
-            let mut parts = Vec::new();
-            let mut next = 0u64;
-            for i in 0..40 {
-                let len = match i % 5 {
-                    0 => 0,
-                    1 => 3_000,
-                    _ => 300,
-                };
-                parts.push((next..next + len).collect());
-                next += len;
-            }
-            parts
-        };
-        let expected: Vec<u64> = make_parts().into_iter().flatten().collect();
-        for p in [1, 2, 4, 16] {
-            assert_eq!(pool.concat(p, make_parts()), expected, "parallelism {p}");
-        }
-    }
-
-    #[test]
-    fn concat_small_input_stays_serial_and_correct() {
-        let pool = WorkerPool::new(2);
-        let parts = vec![vec![1u8, 2], vec![], vec![3]];
-        assert_eq!(pool.concat(8, parts), vec![1, 2, 3]);
-        assert_eq!(pool.concat(8, Vec::<Vec<u8>>::new()), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn concat_moves_non_copy_values() {
-        let pool = WorkerPool::new(2);
-        let parts: Vec<Vec<String>> = (0..30)
-            .map(|i| (0..1_000).map(|j| format!("{i}:{j}")).collect())
-            .collect();
-        let expected: Vec<String> = parts.clone().into_iter().flatten().collect();
-        assert_eq!(pool.concat(4, parts), expected);
-    }
-
-    #[test]
-    fn global_pool_is_singleton() {
-        let a = WorkerPool::global() as *const _;
-        let b = WorkerPool::global() as *const _;
-        assert_eq!(a, b);
     }
 }

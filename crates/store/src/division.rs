@@ -9,7 +9,6 @@
 use crate::format::{Enc, Snapshot, SnapshotError, SnapshotKind, SnapshotWriter};
 use locec_core::phase1::{DivisionResult, LocalCommunity};
 use locec_graph::{CsrGraph, NodeId};
-use locec_runtime::WorkerPool;
 use std::path::Path;
 
 /// The partial Phase I output of one contiguous ego range, as produced by
@@ -274,7 +273,7 @@ pub(crate) fn validate_members_are_neighbors(
 /// recomputed) is dropped with `Ok(false)`; a shard that *partially*
 /// overlaps merged work indicates an inconsistent task tiling and is a
 /// typed error. Every absorbed shard is validated against the graph the
-/// merge was opened with, exactly like [`merge_shards`].
+/// merge was opened with. [`merge_shards`] runs on it too.
 pub struct IncrementalMerge<'g> {
     graph: &'g CsrGraph,
     communities: Vec<LocalCommunity>,
@@ -477,10 +476,11 @@ impl<'g> IncrementalMerge<'g> {
     }
 }
 
-/// Merges the shards of one run into a full [`DivisionResult`]. The shards
-/// must partition `0..num_nodes` contiguously; community concatenation and
-/// the membership-table build both run on the worker pool, and the result
-/// is bit-identical to a single-process `divide` over the same graph.
+/// Merges the complete shard set of one run into a full [`DivisionResult`],
+/// bit-identical to a single-process `divide` over the same graph. Checks
+/// the declared set (non-empty, `shard_count` shards, each index once),
+/// then runs the coordinator's [`IncrementalMerge`], which validates every
+/// shard against `graph` and fails unless the ranges tile every ego.
 pub fn merge_shards(
     graph: &CsrGraph,
     mut shards: Vec<DivisionShard>,
@@ -489,49 +489,21 @@ pub fn merge_shards(
     if shards.is_empty() {
         return Err(SnapshotError::Corrupt("no shards to merge"));
     }
-    // Order by declared index, not ego_start: with more shards than egos,
-    // several (empty) shards share a start and ego_start ties would leave
-    // their relative order arbitrary.
+    // Absorbing in index order appends each shard at the end.
     shards.sort_by_key(|s| s.shard_index);
-    let n = graph.num_nodes() as u32;
     let declared = shards[0].shard_count;
     if shards.len() != declared as usize {
         return Err(SnapshotError::Corrupt(
             "shard set does not match the declared shard count",
         ));
     }
-    let mut expected_start = 0u32;
-    for (i, s) in shards.iter().enumerate() {
-        if s.num_nodes != n {
-            return Err(SnapshotError::Corrupt(
-                "shard computed on a different graph",
-            ));
-        }
-        if s.shard_count != declared || s.shard_index != i as u32 {
+    let mut merge = IncrementalMerge::new(graph);
+    for (i, s) in shards.into_iter().enumerate() {
+        if s.shard_count != declared || s.shard_index != i as u32 || !merge.absorb(s)? {
             return Err(SnapshotError::Corrupt("duplicate or mismatched shard"));
         }
-        if s.ego_start != expected_start {
-            return Err(SnapshotError::Corrupt("shards do not tile the ego range"));
-        }
-        expected_start = s.ego_end;
     }
-    if expected_start != n {
-        return Err(SnapshotError::Corrupt("shards do not cover every ego"));
-    }
-    // Every member must be one of its ego's neighbors in *this* graph — a
-    // shard computed on a different graph of the same node count would
-    // otherwise crash (or corrupt) the membership-table walk, which
-    // assumes members ⊆ neighbors.
-    for s in &shards {
-        validate_members_are_neighbors(graph, &s.communities)?;
-    }
-    let parts: Vec<Vec<LocalCommunity>> = shards.into_iter().map(|s| s.communities).collect();
-    let communities = WorkerPool::global().concat(threads.max(1), parts);
-    Ok(DivisionResult::from_communities(
-        graph,
-        communities,
-        threads,
-    ))
+    merge.finish(threads)
 }
 
 #[cfg(test)]

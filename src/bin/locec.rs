@@ -127,7 +127,7 @@ the next epoch off to the side and swaps it in without dropping in-flight
 requests — replies are stamped with the epoch id they were computed from.
 With --connect the verb is a one-shot control/query client instead.
 
-lint: `lint` runs the workspace static-analysis pass (unsafe-containment,
+lint: `lint` runs the workspace static-analysis pass (no-unsafe,
 panic-freedom, wire-constant single-declaration, registry exhaustiveness,
 lock-hygiene) over --root (default `.`) and exits non-zero on any finding
 not absorbed by --baseline (default `ROOT/lint-baseline.txt`, missing file

@@ -23,7 +23,7 @@
 //!   protocol, with atomic epoch hot-swap of the serving division.
 //! * [`baselines`] — ProbWP, Economix and raw-XGBoost comparison methods.
 //! * [`lint`] — the workspace's own static-analysis pass (`locec lint`):
-//!   panic-safety, unsafe-containment and wire-format invariants.
+//!   panic-safety, no-unsafe and wire-format invariants.
 //! * [`obs`] — structured observability: sharded counters, log-scale
 //!   histograms, timing spans, leveled logging, and the versioned run
 //!   report every CLI verb emits via `--report`.
