@@ -4,7 +4,7 @@
 //!
 //! ## Threads
 //!
-//! One accept thread (nonblocking listener polled against a stop flag) and
+//! One accept thread (blocking `accept`, woken by [`wake_accept`]) and
 //! one reader thread per connection feed a single `mpsc` event channel;
 //! the coordinator's own thread is the only writer to worker sockets and
 //! the only mutator of queue/merge state, so there is no shared-state
@@ -66,7 +66,7 @@ use locec_store::{
     IncrementalMerge, StoredWorld,
 };
 use std::collections::HashMap;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -744,6 +744,7 @@ impl Coordinator {
         // Teardown (always): stop accepting, free gate waiters, tell every
         // worker to exit, unstick reader threads, reap children.
         stop.store(true, Ordering::SeqCst);
+        wake_accept(self.addr);
         gate.close();
         for (_, conn) in workers.iter_mut() {
             let _ = transport.write_frame(&mut conn.stream, FrameType::Shutdown, &[]);
@@ -996,8 +997,8 @@ fn spawn_local_worker(spawn: &WorkerSpawn, addr: SocketAddr) -> Result<Child, Cl
 }
 
 /// Accepts connections until the stop flag flips, spawning one reader
-/// thread per worker. The listener is polled nonblocking so shutdown never
-/// hangs in `accept`.
+/// thread per worker. `accept` blocks; teardown sets the flag and then
+/// calls [`wake_accept`], so the thread sees the flag and exits.
 #[allow(clippy::too_many_arguments)]
 fn spawn_accept_thread(
     listener: TcpListener,
@@ -1009,36 +1010,41 @@ fn spawn_accept_thread(
     secret: Arc<Option<String>>,
     meter: Arc<TransportMeter>,
 ) -> Result<std::thread::JoinHandle<()>, ClusterError> {
-    // Flip to nonblocking before the thread exists so a failure surfaces
-    // as a typed error at the call site instead of a panic in a thread
-    // nobody joins until teardown.
-    listener.set_nonblocking(true)?;
     let handle = std::thread::Builder::new()
         .name("locec-cluster-accept".into())
         .spawn(move || loop {
+            let accepted = listener.accept();
             if stop.load(Ordering::SeqCst) {
                 return;
             }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let id = next_worker_id.fetch_add(1, Ordering::Relaxed);
-                    let tx = tx.clone();
-                    let gate = Arc::clone(&gate);
-                    let secret = Arc::clone(&secret);
-                    let meter = Arc::clone(&meter);
-                    let _ = std::thread::Builder::new()
-                        .name(format!("locec-cluster-reader-{id}"))
-                        .spawn(move || {
-                            reader_thread(stream, id, tx, gate, hb_interval, secret, meter)
-                        });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(25)),
+            // A failed accept (a peer that reset before it was taken) is
+            // skipped; the listener itself stays usable.
+            if let Ok((stream, _)) = accepted {
+                let id = next_worker_id.fetch_add(1, Ordering::Relaxed);
+                let tx = tx.clone();
+                let gate = Arc::clone(&gate);
+                let secret = Arc::clone(&secret);
+                let meter = Arc::clone(&meter);
+                let _ = std::thread::Builder::new()
+                    .name(format!("locec-cluster-reader-{id}"))
+                    .spawn(move || reader_thread(stream, id, tx, gate, hb_interval, secret, meter));
             }
         })?;
     Ok(handle)
+}
+
+/// Wakes a thread blocked in `accept` on the listener bound to `addr` by
+/// connecting to it once. The caller sets its stop flag first, so the
+/// woken loop drops this connection and exits. An unspecified listen
+/// address is reached through the loopback of its family.
+pub fn wake_accept(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect(addr);
 }
 
 /// Per-connection reader: handshake (with typed rejection of version and

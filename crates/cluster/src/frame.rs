@@ -253,16 +253,16 @@ pub fn read_header<R: Read>(r: &mut R) -> Result<FrameHeader, FrameError> {
     })
 }
 
-/// Reads and checksum-verifies the payload a header announced.
+/// Reads and checksum-verifies the payload a header announced. The buffer
+/// starts at most 64 KiB and grows with the bytes that arrive, so a lying
+/// length costs memory for what the peer sends, not for what it declares.
 pub fn read_payload<R: Read>(r: &mut R, header: &FrameHeader) -> Result<Vec<u8>, FrameError> {
-    let mut payload = vec![0u8; header.len as usize];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            FrameError::TruncatedPayload
-        } else {
-            FrameError::Io(e)
-        }
-    })?;
+    let len = header.len as usize;
+    let mut payload = Vec::with_capacity(len.min(64 << 10));
+    r.take(u64::from(header.len)).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(FrameError::TruncatedPayload);
+    }
     if crc32(&payload) != header.crc {
         return Err(FrameError::ChecksumMismatch);
     }
@@ -452,5 +452,32 @@ mod tests {
             read_payload(&mut r, &header),
             Err(FrameError::ChecksumMismatch)
         ));
+    }
+
+    /// A header may declare up to `MAX_FRAME_PAYLOAD` bytes and then send
+    /// three: the reader's buffer follows the bytes, not the declaration.
+    #[test]
+    fn a_lying_length_is_not_allocated_up_front() {
+        struct Recording<'a> {
+            bytes: &'a [u8],
+            largest: usize,
+        }
+        impl Read for Recording<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.largest = self.largest.max(buf.len());
+                self.bytes.read(buf)
+            }
+        }
+        let mut wire = frame_bytes(FrameType::ShardResult, b"abc").unwrap();
+        wire[5..9].copy_from_slice(&MAX_FRAME_PAYLOAD.to_le_bytes());
+        let mut r = Recording {
+            bytes: &wire,
+            largest: 0,
+        };
+        assert!(matches!(
+            read_frame(&mut r),
+            Err(FrameError::TruncatedPayload)
+        ));
+        assert!(r.largest <= 64 << 10, "asked to fill {} bytes", r.largest);
     }
 }

@@ -1,5 +1,5 @@
 //! Blocking client for the serve protocol — used by the `locec serve`
-//! control verbs, the throughput load generator, and tests.
+//! control verbs, the benchmark's control connection, and tests.
 
 use std::net::TcpStream;
 

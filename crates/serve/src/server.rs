@@ -3,28 +3,33 @@
 //!
 //! ## Concurrency shape
 //!
-//! The accept loop polls a non-blocking listener against the stop flag.
-//! Each connection gets its own handler thread with its own
-//! [`Scratch`] arena (reused across that connection's CNN inferences, the
-//! PR 9 immutable-forward contract). Handlers pin the current epoch `Arc`
+//! [`Server::run`] blocks in `accept` and gives each connection a scoped
+//! handler thread that borrows the shared state. A handler blocks in its
+//! socket read between requests and wakes when bytes arrive. Each has its
+//! own [`Scratch`] arena (reused across that connection's CNN inferences,
+//! the immutable-forward contract). Handlers pin the current epoch `Arc`
 //! once per request, so a mid-request reload never mixes epochs within one
 //! answer; the reply carries the pinned epoch's id.
 //!
 //! ## Shutdown
 //!
-//! A `Shutdown` frame (the same frame type the cluster protocol uses)
-//! flips the shared stop flag. The accept loop stops accepting, handler
-//! threads notice the flag at their next poll tick (socket reads poll with
-//! a short timeout between frames, never inside one), finish their current
-//! request and exit, and [`Server::run`] joins them all before returning —
-//! no in-flight request is dropped.
+//! A `Shutdown` frame (the same frame type the cluster protocol uses) and
+//! [`Server::stop`] do the same three things: set the stop flag, shut the
+//! read side of every open connection, and connect once to the listener.
+//! A handler parked in a read sees the connection close and exits; one
+//! computing a reply still writes it (only the read side is shut) and
+//! checks the flag before its next read. The wake connection returns
+//! `accept`, which sees the flag and stops accepting. `run` returns once
+//! every handler has — no in-flight request is dropped.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
+use locec_cluster::coordinator::wake_accept;
 use locec_cluster::frame::{read_frame, write_frame, FrameType};
 use locec_cluster::{FrameError, RejectReason};
 use locec_core::DivisionResult;
@@ -38,14 +43,6 @@ use crate::protocol::{
     ServeWelcome, StatusReply, TopKQuery, TopKReply, SERVE_PROTOCOL_VERSION,
 };
 use crate::ServeError;
-
-/// How often idle connection handlers and the accept loop re-check the
-/// stop flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
-/// Read timeout while actually pulling the bytes of one frame — generous,
-/// because a peer that started a frame is expected to finish it promptly.
-const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Per-verb request totals, shared by all handler threads.
 #[derive(Default)]
@@ -64,6 +61,25 @@ struct Shared {
     stop: AtomicBool,
     next_epoch: AtomicU64,
     started: Instant,
+    /// The listener's address, connected to once to wake `accept`.
+    addr: SocketAddr,
+    /// Every open connection by accept number, for `stop` to shut its reads.
+    open: Mutex<HashMap<u64, TcpStream>>,
+}
+
+impl Shared {
+    fn open(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.open.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Stops the daemon; see the module doc's "Shutdown".
+    fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        for conn in self.open().values() {
+            let _ = conn.shutdown(Shutdown::Read);
+        }
+        wake_accept(self.addr);
+    }
 }
 
 /// Totals reported when the daemon exits, for the CLI's `serve` report
@@ -89,7 +105,7 @@ pub struct ServeSummary {
 /// and returns the lifetime totals.
 pub struct Server {
     listener: TcpListener,
-    shared: Arc<Shared>,
+    shared: Shared,
 }
 
 impl Server {
@@ -104,16 +120,18 @@ impl Server {
     ) -> Result<Server, ServeError> {
         let epoch = ServingEpoch::new(1, Arc::new(world), Arc::new(assets), division)?;
         let listener = TcpListener::bind(listen)?;
-        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
         Ok(Server {
             listener,
-            shared: Arc::new(Shared {
+            shared: Shared {
                 handle: EpochHandle::new(epoch),
                 stats: Stats::default(),
                 stop: AtomicBool::new(false),
                 next_epoch: AtomicU64::new(2),
                 started: Instant::now(),
-            }),
+                addr,
+                open: Mutex::default(),
+            },
         })
     }
 
@@ -125,105 +143,74 @@ impl Server {
     /// Requests shutdown from outside the protocol (tests, signal
     /// handlers). Equivalent to receiving a `Shutdown` frame.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.stop();
     }
 
-    /// Serves until stopped. Joins every handler thread before returning,
-    /// so all in-flight requests complete.
+    /// Serves until stopped. The handlers are scoped threads, so `run`
+    /// returns only after every in-flight request has been answered.
     pub fn run(&self) -> Result<ServeSummary, ServeError> {
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shared.stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    self.shared
-                        .stats
-                        .connections
-                        .fetch_add(1, Ordering::Relaxed);
-                    Recorder::global().counter("serve.connections").incr();
-                    let shared = Arc::clone(&self.shared);
-                    let peer = peer.to_string();
-                    handlers.push(std::thread::spawn(move || {
-                        if let Err(e) = handle_connection(stream, &shared) {
-                            Recorder::global().counter("serve.connection_errors").incr();
-                            log::debug(
-                                "serve",
-                                "connection ended with error",
-                                &[("peer", &peer), ("error", &e.to_string())],
-                            );
-                        }
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(e) => return Err(ServeError::Io(e)),
+        let shared = &self.shared;
+        let accepting: std::io::Result<()> = std::thread::scope(|scope| loop {
+            let accepted = self.listener.accept();
+            // A stop connects once to get here; that connection goes uncounted.
+            if shared.stop.load(Ordering::SeqCst) {
+                return Ok(());
             }
-            // Reap finished handlers so a long-lived daemon's handle list
-            // stays proportional to live connections.
-            handlers = handlers
-                .into_iter()
-                .filter_map(|h| {
-                    if h.is_finished() {
-                        let _ = h.join();
-                        None
-                    } else {
-                        Some(h)
-                    }
-                })
-                .collect();
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
-        let stats = &self.shared.stats;
+            // On a failed accept, wake every handler so the scope can join.
+            let (stream, peer) = accepted.inspect_err(|_| shared.stop())?;
+            let id = shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+            Recorder::global().counter("serve.connections").incr();
+            scope.spawn(move || {
+                let result = handle_connection(stream, id, shared);
+                shared.open().remove(&id);
+                if let Err(e) = result {
+                    Recorder::global().counter("serve.connection_errors").incr();
+                    log::debug(
+                        "serve",
+                        "connection ended with error",
+                        &[("peer", &peer.to_string()), ("error", &e.to_string())],
+                    );
+                }
+            });
+        });
+        accepting?;
+        let stats = &shared.stats;
         Ok(ServeSummary {
             connections: stats.connections.load(Ordering::Relaxed),
             edge_queries: stats.edge_queries.load(Ordering::Relaxed),
             community_queries: stats.community_queries.load(Ordering::Relaxed),
             top_k_queries: stats.top_k_queries.load(Ordering::Relaxed),
             reloads: stats.reloads.load(Ordering::Relaxed),
-            final_epoch: self.shared.handle.current().id(),
+            final_epoch: shared.handle.current().id(),
         })
     }
 }
 
-/// Waits for the next frame, polling the stop flag between frames.
-/// Returns `Ok(None)` on stop or clean peer close. The peek/read split
-/// matters: the short timeout only ever elapses *between* frames (peek
-/// consumes nothing), so a frame that started arriving is read whole with
-/// the long timeout and partial frames are never dropped.
+/// Waits for the next frame. Returns `Ok(None)` once the daemon is
+/// stopping or the peer closed between frames; a stop shuts the read side,
+/// so a read blocked here ends as a clean close.
 fn next_frame(
     stream: &mut TcpStream,
     shared: &Shared,
 ) -> Result<Option<(FrameType, Vec<u8>)>, ServeError> {
-    let mut probe = [0u8; 1];
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return Ok(None);
-        }
-        stream.set_read_timeout(Some(POLL_INTERVAL))?;
-        match stream.peek(&mut probe) {
-            Ok(0) => return Ok(None),
-            Ok(_) => {
-                stream.set_read_timeout(Some(FRAME_READ_TIMEOUT))?;
-                return match read_frame(stream) {
-                    Ok(frame) => Ok(Some(frame)),
-                    Err(FrameError::Closed) => Ok(None),
-                    Err(e) => Err(ServeError::Frame(e)),
-                };
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(e) => return Err(ServeError::Io(e)),
-        }
+    if shared.stop.load(Ordering::SeqCst) {
+        return Ok(None);
+    }
+    match read_frame(stream) {
+        Ok(frame) => Ok(Some(frame)),
+        Err(FrameError::Closed) => Ok(None),
+        Err(e) => Err(ServeError::Frame(e)),
     }
 }
 
 /// Runs one connection: handshake, then a request/reply loop until the
-/// peer hangs up, a `Shutdown` frame arrives, or the daemon stops.
-fn handle_connection(mut stream: TcpStream, shared: &Shared) -> Result<(), ServeError> {
+/// peer hangs up, a `Shutdown` frame arrives, or the daemon stops. The
+/// caller removes the connection from `shared.open` afterwards.
+fn handle_connection(mut stream: TcpStream, id: u64, shared: &Shared) -> Result<(), ServeError> {
     stream.set_nodelay(true).ok();
+    // Registered before the first read checks the stop flag, so a stop
+    // either shuts this connection's read side or is seen by that check.
+    shared.open().insert(id, stream.try_clone()?);
     let recorder = Recorder::global();
 
     // --- handshake ---
@@ -333,8 +320,8 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> Result<(), Serve
                 recorder.histogram("serve.reload_nanos").record_since(t0);
             }
             FrameType::Shutdown => {
-                shared.stop.store(true, Ordering::SeqCst);
                 log::info("serve", "shutdown frame received", &[]);
+                shared.stop();
                 return Ok(());
             }
             other => {
@@ -503,5 +490,66 @@ mod tests {
 
         client.shutdown().unwrap();
         handle.join().unwrap();
+    }
+
+    /// Joins the daemon thread, failing the test instead of hanging it
+    /// when `run` does not return within a generous bound.
+    fn finishes(handle: std::thread::JoinHandle<ServeSummary>) -> ServeSummary {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(handle.join()));
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("run() did not return after the stop")
+            .expect("serve thread panicked")
+    }
+
+    /// Sends the serve handshake on a raw stream and reads the welcome.
+    fn handshake(stream: &mut TcpStream) {
+        let hello = ServeHello {
+            protocol_version: SERVE_PROTOCOL_VERSION,
+        };
+        write_frame(stream, FrameType::ServeHello, &hello.encode()).unwrap();
+        let (ft, _) = read_frame(stream).unwrap();
+        assert_eq!(ft, FrameType::ServeWelcome);
+    }
+
+    #[test]
+    fn stop_ends_an_idle_connection_and_counts_only_real_ones() {
+        let (server, handle) = start(fixture(CommunityModelKind::Xgb, 9));
+        let addr = server.local_addr().unwrap().to_string();
+        let idle = ServeClient::connect(&addr).expect("connect");
+
+        server.stop();
+        let summary = finishes(handle);
+        assert_eq!(summary.connections, 1, "the wake connection was counted");
+        drop(idle);
+    }
+
+    #[test]
+    fn a_shutdown_frame_closes_the_other_idle_connections() {
+        let (server, handle) = start(fixture(CommunityModelKind::Xgb, 4));
+        let addr = server.local_addr().unwrap();
+        let mut idle = TcpStream::connect(addr).unwrap();
+        handshake(&mut idle);
+
+        ServeClient::connect(&addr.to_string())
+            .unwrap()
+            .shutdown()
+            .unwrap();
+        assert_eq!(finishes(handle).connections, 2);
+        assert!(matches!(read_frame(&mut idle), Err(FrameError::Closed)));
+    }
+
+    #[test]
+    fn stop_before_run_returns_at_once() {
+        let Fixture {
+            world,
+            assets,
+            division,
+            ..
+        } = fixture(CommunityModelKind::Xgb, 6);
+        let server = Server::bind(world, assets, division, "127.0.0.1:0").expect("bind");
+        server.stop();
+        let handle = std::thread::spawn(move || server.run().expect("serve run"));
+        assert_eq!(finishes(handle).connections, 0);
     }
 }
