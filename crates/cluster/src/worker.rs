@@ -42,6 +42,7 @@ use locec_store::{shard_to_bytes, DivisionShard, StoredWorld};
 use std::net::{Shutdown, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -323,34 +324,33 @@ fn run_connection(
     // completes, so even the world load below cannot starve them. The
     // writer mutex keeps heartbeat and result frames from interleaving;
     // the busy flag and completed counter ride along as last-known state.
+    // The thread waits out each interval on a channel nothing is ever sent
+    // on: dropping `hb_stop` when the lease loop ends wakes it at once.
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    let hb_stop = Arc::new(AtomicBool::new(false));
+    let (hb_stop, stopped) = mpsc::channel::<()>();
     let busy = Arc::new(AtomicBool::new(false));
     let hb_handle = {
         let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&hb_stop);
         let busy = Arc::clone(&busy);
         let meter = Arc::clone(meter);
         let hub = Arc::clone(hub);
         let transport = transport.clone();
         std::thread::Builder::new()
             .name("locec-worker-heartbeat".into())
-            .spawn(move || loop {
-                std::thread::sleep(interval);
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                let info = HeartbeatInfo {
-                    busy: busy.load(Ordering::SeqCst),
-                    leases_completed: hub.leases_completed.load(Ordering::SeqCst),
-                    metrics: hub.snapshot(&meter, &transport),
-                };
-                let payload = encode_heartbeat(&info);
-                let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                // locec-lint: allow(R5) — the writer mutex exists precisely to serialize whole frames onto the shared socket; heartbeats are tiny frames, so the hold is bounded.
-                let sent = transport.write_frame(&mut *w, FrameType::Heartbeat, &payload);
-                if sent.is_err() {
-                    return;
+            .spawn(move || {
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                    let info = HeartbeatInfo {
+                        busy: busy.load(Ordering::SeqCst),
+                        leases_completed: hub.leases_completed.load(Ordering::SeqCst),
+                        metrics: hub.snapshot(&meter, &transport),
+                    };
+                    let payload = encode_heartbeat(&info);
+                    let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
+                    // locec-lint: allow(R5) — the writer mutex exists precisely to serialize whole frames onto the shared socket; heartbeats are tiny frames, so the hold is bounded.
+                    let sent = transport.write_frame(&mut *w, FrameType::Heartbeat, &payload);
+                    if sent.is_err() {
+                        return;
+                    }
                 }
             })?
     };
@@ -368,7 +368,7 @@ fn run_connection(
         &busy,
     );
 
-    hb_stop.store(true, Ordering::SeqCst);
+    drop(hb_stop);
     let _ = stream.shutdown(Shutdown::Both);
     let _ = hb_handle.join();
     result

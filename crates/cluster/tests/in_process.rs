@@ -177,6 +177,34 @@ fn worker_reconnects_after_a_truncated_result_and_the_run_completes() {
 }
 
 #[test]
+fn worker_returns_promptly_when_the_run_ends_mid_heartbeat_interval() {
+    // The heartbeat thread must wake when its connection ends, not sleep
+    // out the interval: with a 30 s cadence the worker may not outlive the
+    // coordinator's run by more than a few seconds.
+    let scenario = Scenario::generate(&SynthConfig::tiny(49));
+    let config = LocecConfig {
+        threads: 1,
+        ..LocecConfig::fast()
+    };
+    let mut cfg = CoordinateConfig::new(config, 1);
+    cfg.ship_world_bytes = true;
+    cfg.heartbeat_interval = Some(Duration::from_secs(30));
+    let mut coordinator = Coordinator::bind(None, scenario.graph.clone(), cfg).unwrap();
+    let addr = coordinator.local_addr().to_string();
+    let (done, finished) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = done.send(run_worker(&addr, &WorkerOptions::default()));
+    });
+    coordinator.run().expect("coordination completes");
+    let report = finished
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the worker returns within 5 s of the run's end")
+        .expect("worker succeeds");
+    worker.join().expect("worker thread not poisoned");
+    assert!(report.leases_completed >= 1);
+}
+
+#[test]
 fn authenticated_handshake_accepts_the_secret_and_rejects_the_rest() {
     let scenario = Scenario::generate(&SynthConfig::tiny(46));
     let config = LocecConfig {

@@ -32,7 +32,7 @@ pub mod reference;
 
 /// One local community: a cluster of `ego`'s friends in `ego`'s ego
 /// network.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LocalCommunity {
     /// The ego node whose ego network this community lives in.
     pub ego: NodeId,
@@ -200,18 +200,7 @@ impl DivisionResult {
             let mut local = vec![NO_COMMUNITY; end - base];
             let lo = communities.partition_point(|c| (c.ego.0 as usize) < range.start);
             let hi = communities.partition_point(|c| (c.ego.0 as usize) < range.end);
-            for (offset, c) in communities[lo..hi].iter().enumerate() {
-                let cbase = graph.adjacency_offset(c.ego) - base;
-                let nbrs = graph.neighbors(c.ego);
-                let mut j = 0usize;
-                for &m in &c.members {
-                    while nbrs[j] != m {
-                        j += 1;
-                    }
-                    local[cbase + j] = (lo + offset) as u32;
-                    j += 1;
-                }
-            }
+            fill_membership(graph, &communities[lo..hi], lo, &mut local, base);
             local
         });
         chunks.concat()
@@ -221,21 +210,34 @@ impl DivisionResult {
     /// computed on `graph`. Shared by the production and reference paths.
     fn build_membership(graph: &CsrGraph, communities: &[LocalCommunity]) -> Vec<u32> {
         let mut membership = vec![NO_COMMUNITY; graph.volume()];
-        for (idx, c) in communities.iter().enumerate() {
-            let base = graph.adjacency_offset(c.ego);
-            let nbrs = graph.neighbors(c.ego);
-            // Members are an ascending subset of the ego's (ascending)
-            // neighbour list: a forward merge finds each slot in O(deg).
-            let mut j = 0usize;
-            for &m in &c.members {
-                while nbrs[j] != m {
-                    j += 1;
-                }
-                membership[base + j] = idx as u32;
+        fill_membership(graph, communities, 0, &mut membership, 0);
+        membership
+    }
+}
+
+/// Writes the community indices `first, first + 1, …` of `communities`
+/// into the membership slots of their members. `out[0]` is adjacency slot
+/// `base`; every ego of `communities` must have its slots inside `out`.
+fn fill_membership(
+    graph: &CsrGraph,
+    communities: &[LocalCommunity],
+    first: usize,
+    out: &mut [u32],
+    base: usize,
+) {
+    for (offset, c) in communities.iter().enumerate() {
+        let slots = &mut out[graph.adjacency_offset(c.ego) - base..];
+        let nbrs = graph.neighbors(c.ego);
+        // Members are an ascending subset of the ego's (ascending)
+        // neighbour list: a forward merge finds each slot in O(deg).
+        let mut j = 0usize;
+        for &m in &c.members {
+            while nbrs[j] != m {
                 j += 1;
             }
+            slots[j] = (first + offset) as u32;
+            j += 1;
         }
-        membership
     }
 }
 

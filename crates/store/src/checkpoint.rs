@@ -189,8 +189,32 @@ pub fn load_division_checkpoint(path: &Path) -> Result<DivisionCheckpoint, Snaps
         merged.push((s, e));
     }
     dec.done()?;
+    let communities = read_community_sections(&snap, num_nodes)?;
+    validate_merged_state(num_nodes, &merged, &communities)?;
+    Ok(DivisionCheckpoint {
+        num_nodes,
+        task_count,
+        detector,
+        seed,
+        gn_max_friends,
+        merged,
+        communities,
+    })
+}
+
+/// The structural invariants of checkpointed merge state, shared by
+/// [`load_division_checkpoint`] and `IncrementalMerge::resume`: `merged` is
+/// sorted, disjoint, coalesced and inside `0..num_nodes` (adjacent ranges
+/// would have been coalesced at absorb time, and requiring that keeps
+/// `range_is_covered`'s single-probe containment check sound), and every
+/// community's ego lies inside a merged range.
+pub(crate) fn validate_merged_state(
+    num_nodes: u32,
+    merged: &[(u32, u32)],
+    communities: &[LocalCommunity],
+) -> Result<(), SnapshotError> {
     let mut prev_end = None::<u32>;
-    for &(s, e) in &merged {
+    for &(s, e) in merged {
         if s >= e || e > num_nodes {
             return Err(SnapshotError::Corrupt(
                 "checkpoint ego range is empty or exceeds the graph",
@@ -203,8 +227,6 @@ pub fn load_division_checkpoint(path: &Path) -> Result<DivisionCheckpoint, Snaps
         }
         prev_end = Some(e);
     }
-
-    let communities = read_community_sections(&snap, num_nodes)?;
     let inside = |ego: u32| {
         let i = merged.partition_point(|&(_, e)| e <= ego);
         merged.get(i).is_some_and(|&(s, e)| s <= ego && ego < e)
@@ -214,15 +236,7 @@ pub fn load_division_checkpoint(path: &Path) -> Result<DivisionCheckpoint, Snaps
             "checkpoint community outside the merged ego ranges",
         ));
     }
-    Ok(DivisionCheckpoint {
-        num_nodes,
-        task_count,
-        detector,
-        seed,
-        gn_max_friends,
-        merged,
-        communities,
-    })
+    Ok(())
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! adjacency-slot membership table verbatim, so loading never recomputes
 //! anything and round-trips are bit-identical by construction.
 
+use crate::checkpoint::validate_merged_state;
 use crate::format::{Enc, Snapshot, SnapshotError, SnapshotKind, SnapshotWriter};
 use locec_core::phase1::{DivisionResult, LocalCommunity};
 use locec_graph::{CsrGraph, NodeId};
@@ -407,49 +408,14 @@ impl<'g> IncrementalMerge<'g> {
         communities: Vec<LocalCommunity>,
         merged: Vec<(u32, u32)>,
     ) -> Result<Self, SnapshotError> {
-        let n = graph.num_nodes() as u32;
-        let mut covered = 0u64;
-        let mut prev_end = None::<u32>;
-        for &(s, e) in &merged {
-            if s >= e || e > n {
-                return Err(SnapshotError::Corrupt(
-                    "checkpoint ego range is empty or exceeds the graph",
-                ));
-            }
-            if let Some(p) = prev_end {
-                // Adjacent ranges would have been coalesced at absorb time;
-                // requiring that here keeps range_is_covered's single-probe
-                // containment check sound.
-                if s <= p {
-                    return Err(SnapshotError::Corrupt(
-                        "checkpoint ego ranges are not sorted, disjoint and coalesced",
-                    ));
-                }
-            }
-            prev_end = Some(e);
-            covered += u64::from(e - s);
-        }
-        let inside = |ego: u32| {
-            let i = merged.partition_point(|&(_, e)| e <= ego);
-            merged.get(i).is_some_and(|&(s, e)| s <= ego && ego < e)
-        };
-        let mut prev_ego = None::<u32>;
-        for c in &communities {
-            if let Some(p) = prev_ego {
-                if c.ego.0 < p {
-                    return Err(SnapshotError::Corrupt(
-                        "checkpoint communities are not ego-ordered",
-                    ));
-                }
-            }
-            prev_ego = Some(c.ego.0);
-            if !inside(c.ego.0) {
-                return Err(SnapshotError::Corrupt(
-                    "checkpoint community outside the merged ego ranges",
-                ));
-            }
+        validate_merged_state(graph.num_nodes() as u32, &merged, &communities)?;
+        if communities.windows(2).any(|w| w[1].ego < w[0].ego) {
+            return Err(SnapshotError::Corrupt(
+                "checkpoint communities are not ego-ordered",
+            ));
         }
         validate_members_are_neighbors(graph, &communities)?;
+        let covered = merged.iter().map(|&(s, e)| u64::from(e - s)).sum();
         Ok(IncrementalMerge {
             graph,
             communities,
