@@ -245,18 +245,16 @@ impl CommCnn {
             &grad_concat,
             &[self.square_dim, self.branch_dim, self.branch_dim],
         );
-        // Input gradients are discarded (input is data, not parameters).
-        let _ = self
-            .square
-            .backward(&parts[0], scratch)
+        // The branches' input is data, not parameters: nothing reads its
+        // gradient, so their first convolutions skip computing it.
+        self.square
+            .backward_params(&parts[0], scratch)
             .expect("square backward");
-        let _ = self
-            .wide
-            .backward(&parts[1], scratch)
+        self.wide
+            .backward_params(&parts[1], scratch)
             .expect("wide backward");
-        let _ = self
-            .long
-            .backward(&parts[2], scratch)
+        self.long
+            .backward_params(&parts[2], scratch)
             .expect("long backward");
     }
 

@@ -11,14 +11,21 @@
 //! conv forward is one GEMM for the whole batch, the conv backward GEMMs
 //! run per sample):
 //!
-//! | op            | A (m×k)              | B (k×n)                  | C preload        |
-//! |---------------|----------------------|--------------------------|------------------|
-//! | conv forward  | weights `c_out×R`    | im2col `R×(N·P)`         | bias rows        |
-//! | conv ∂weights | gout `c_out×P`       | im2row `P×R`             | zeros → `gw += Σ`|
-//! | conv ∂input   | permuted w `c_in×K₂` | flipped-im2col `K₂×(h·w)`| zeros            |
-//! | dense forward | input `N×I`          | weights `I×O`            | bias rows        |
-//! | dense ∂weights| inputᵀ `I×N`         | gout `N×O`               | existing `gw`    |
-//! | dense ∂input  | gout `N×O`           | weightsᵀ `O×I`           | zeros            |
+//! | op            | A (m×k)              | B (k×n)                        | C preload        |
+//! |---------------|----------------------|--------------------------------|------------------|
+//! | conv forward  | weights `c_out×R`    | im2col `R×(N·P)`               | bias rows        |
+//! | conv ∂weights | gout `c_out×P`       | forward's cols, block ᵀ `P×R`  | zeros → `gw += Σ`|
+//! | conv ∂input   | permuted w `c_in×K₂` | flipped-im2col `K₂×(h·w)`      | zeros            |
+//! | dense forward | input `N×I`          | weights `I×O`                  | bias rows        |
+//! | dense ∂weights| inputᵀ `I×N`         | gout `N×O`                     | existing `gw`    |
+//! | dense ∂input  | gout `N×O`           | weightsᵀ `O×I`                 | zeros            |
+//!
+//! The conv backward lowers no input: a training forward keeps its
+//! `R×(N·P)` columns, and sample `ni`'s ∂weights operand is the transpose
+//! of its `R×P` block — the same matrix a fresh per-sample lowering would
+//! build, so the GEMM sees the same operands. The ∂input lowering and GEMM
+//! run only when the caller reads the result: a network's first conv,
+//! whose input is data, skips them.
 //!
 //! The conv weight-gradient GEMM must land in a zeroed scratch buffer and
 //! be *added* to `gw` afterwards: the reference folds a local `wgrad` from
@@ -27,7 +34,7 @@
 //! gradient is the opposite case — the reference folds straight onto `gw`,
 //! so there the GEMM preloads `C` with the existing values.
 
-use super::im2col::{flipped_im2col, im2col_batched, im2row};
+use super::im2col::{flipped_im2col, im2col_batched, sample_rows};
 use super::{timed_sgemm, with_im2col_timing, ConvGeom, Scratch};
 
 /// im2col + GEMM convolution forward, batched: the whole `n`-sample batch
@@ -36,7 +43,9 @@ use super::{timed_sgemm, with_im2col_timing, ConvGeom, Scratch};
 /// NCHW. Each output element is still the same ascending-`R` fold seeded
 /// from its bias value — only the column's position in the GEMM changes,
 /// so the result is bitwise identical to the per-sample lowering. `out`
-/// must hold `n·c_out·oh·ow` elements; fully overwritten.
+/// must hold `n·c_out·oh·ow` elements; fully overwritten. The columns are
+/// left in `scratch.cols`, where a training forward takes them for
+/// [`conv2d_backward`].
 pub fn conv2d_forward(
     g: &ConvGeom,
     w: &[f32],
@@ -99,15 +108,20 @@ pub fn conv2d_forward(
     }
 }
 
-/// im2col + GEMM convolution backward. `gin` must be zeroed by the caller;
-/// `gw`/`gb` are accumulated into (optimizer semantics).
+/// GEMM convolution backward from the forward's columns: `cols` is the
+/// `R×(N·P)` matrix [`conv2d_forward`] lowered for this batch, so the
+/// weight gradient reads each sample's block through [`sample_rows`]
+/// instead of lowering the input again. `gin`, when given, must be zeroed
+/// by the caller; `None` skips the input gradient — its lowering and its
+/// GEMM — for a caller that would discard it. `gw`/`gb` are accumulated
+/// into (optimizer semantics), bit for bit the same either way.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_backward(
     g: &ConvGeom,
     w: &[f32],
-    input: &[f32],
+    cols: &[f32],
     gout: &[f32],
-    gin: &mut [f32],
+    mut gin: Option<&mut [f32]>,
     gw: &mut [f32],
     gb: &mut [f32],
     scratch: &mut Scratch,
@@ -129,18 +143,19 @@ pub fn conv2d_backward(
 
     // Weights permuted to (ci, (co, ky, kx)) — the A operand of the
     // input-gradient GEMM. Built once per call, reused across samples.
-    scratch.wperm.clear();
-    scratch.wperm.resize(c_in * k2, 0.0);
-    for co in 0..c_out {
-        for ci in 0..c_in {
-            for t in 0..kh * kw {
-                scratch.wperm[ci * k2 + co * kh * kw + t] = w[(co * c_in + ci) * kh * kw + t];
+    if gin.is_some() {
+        scratch.wperm.clear();
+        scratch.wperm.resize(c_in * k2, 0.0);
+        for co in 0..c_out {
+            for ci in 0..c_in {
+                for t in 0..kh * kw {
+                    scratch.wperm[ci * k2 + co * kh * kw + t] = w[(co * c_in + ci) * kh * kw + t];
+                }
             }
         }
     }
 
     for ni in 0..n {
-        let sample = &input[ni * c_in * h * iw..(ni + 1) * c_in * h * iw];
         let g_sample = &gout[ni * c_out * p..(ni + 1) * c_out * p];
 
         // Bias gradient: same per-plane sum as the reference.
@@ -150,21 +165,7 @@ pub fn conv2d_backward(
 
         // Weight gradient: fold into a zeroed per-sample buffer, then add —
         // matching the reference's local-wgrad-then-accumulate order.
-        with_im2col_timing(|| {
-            im2row(
-                sample,
-                c_in,
-                h,
-                iw,
-                kh,
-                kw,
-                ph,
-                pw,
-                oh,
-                ow,
-                &mut scratch.cols,
-            )
-        });
+        with_im2col_timing(|| sample_rows(cols, r, n, p, ni, &mut scratch.cols));
         scratch.tmp.clear();
         scratch.tmp.resize(c_out * r, 0.0);
         timed_sgemm(
@@ -182,6 +183,9 @@ pub fn conv2d_backward(
 
         // Input gradient: flipped-kernel GEMM straight into the (zeroed)
         // gradient plane — one fold per element, ordered (co, ky, kx).
+        let Some(gin) = gin.as_deref_mut() else {
+            continue;
+        };
         with_im2col_timing(|| {
             flipped_im2col(
                 g_sample,
@@ -197,14 +201,13 @@ pub fn conv2d_backward(
                 &mut scratch.cols,
             )
         });
-        let gin_sample = &mut gin[ni * c_in * h * iw..(ni + 1) * c_in * h * iw];
         timed_sgemm(
             c_in,
             h * iw,
             k2,
             &scratch.wperm,
             &scratch.cols,
-            gin_sample,
+            &mut gin[ni * c_in * h * iw..(ni + 1) * c_in * h * iw],
             &mut scratch.pack,
         );
     }

@@ -14,9 +14,10 @@
 //!   the pixel axis into one **R×(N·P)** matrix (row `r`, sample `ni` at
 //!   columns `ni·P..(ni+1)·P`), so a whole batch forward is a *single*
 //!   GEMM — the weight panel is packed once instead of once per sample.
-//! * [`im2row`] builds the transpose **P×R** directly (no transposition
-//!   pass), which is the `B` operand for the weight-gradient GEMM
-//!   `gout(c_out×P) · rows(P×R)`.
+//! * [`sample_rows`] transposes one sample's block of the batched matrix
+//!   into **P×R**, the `B` operand of that sample's weight-gradient GEMM
+//!   `gout(c_out×P) · rows(P×R)`. Training caches the forward's columns,
+//!   so the backward pass reads them instead of lowering the input again.
 //! * [`flipped_im2col`] lowers the *output* gradient against the flipped
 //!   kernel for the input-gradient GEMM: row `(co, ky, kx)`, column
 //!   `(yi, xi)` holds `gout[co][yi-ky+ph][xi-kx+pw]` (zero out of range),
@@ -163,50 +164,23 @@ pub fn im2col_batched(
     }
 }
 
-/// Lowers one `c×h×w` sample into the transposed `P×R` row matrix used as
-/// the `B` operand of the weight-gradient GEMM. `rows` is resized and fully
-/// overwritten.
-#[allow(clippy::too_many_arguments)]
-pub fn im2row(
-    input: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    ph: usize,
-    pw: usize,
-    oh: usize,
-    ow: usize,
-    rows: &mut Vec<f32>,
-) {
-    let r_dim = c * kh * kw;
-    rows.clear();
-    rows.resize(oh * ow * r_dim, 0.0);
-    for yo in 0..oh {
-        for xo in 0..ow {
-            let row = &mut rows[(yo * ow + xo) * r_dim..(yo * ow + xo + 1) * r_dim];
-            for ci in 0..c {
-                let plane = &input[ci * h * w..(ci + 1) * h * w];
-                for ky in 0..kh {
-                    let seg = &mut row[(ci * kh + ky) * kw..(ci * kh + ky + 1) * kw];
-                    let yi = (yo + ky) as isize - ph as isize;
-                    if yi < 0 || yi >= h as isize {
-                        seg.fill(0.0);
-                        continue;
-                    }
-                    // kx + xo - pw ∈ [0, w) ⇒ kx ∈ [max(0, pw-xo), min(kw, w+pw-xo))
-                    let k_lo = (pw as isize - xo as isize).max(0).min(kw as isize) as usize;
-                    let k_hi =
-                        (w as isize + pw as isize - xo as isize).clamp(0, kw as isize) as usize;
-                    seg[..k_lo].fill(0.0);
-                    if k_lo < k_hi {
-                        let s0 = yi as usize * w + (xo + k_lo - pw);
-                        seg[k_lo..k_hi].copy_from_slice(&plane[s0..s0 + (k_hi - k_lo)]);
-                    }
-                    seg[k_hi.max(k_lo)..].fill(0.0);
-                }
-            }
+/// Transposes sample `ni`'s `R×P` block of an [`im2col_batched`] matrix
+/// (`cols`, `R×(N·P)`) into the `P×R` row matrix: the `B` operand of that
+/// sample's weight-gradient GEMM. Each output row is written contiguously
+/// from one column of the block; consecutive rows read the next element of
+/// the same `R` source rows, so each source cache line serves several
+/// output rows while those `R` lines stay resident. `rows` is resized and
+/// fully overwritten.
+pub fn sample_rows(cols: &[f32], r_dim: usize, n: usize, p: usize, ni: usize, rows: &mut Vec<f32>) {
+    let np = n * p;
+    debug_assert_eq!(cols.len(), r_dim * np);
+    // Every element is written below, so stale contents need no clearing.
+    rows.truncate(p * r_dim);
+    rows.resize(p * r_dim, 0.0);
+    let block = &cols[ni * p..];
+    for (q, row) in rows.chunks_exact_mut(r_dim).enumerate() {
+        for (r, v) in row.iter_mut().enumerate() {
+            *v = block[r * np + q];
         }
     }
 }
@@ -337,22 +311,6 @@ mod tests {
                         }
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn im2row_is_transpose_of_im2col() {
-        let (c, h, w, kh, kw, ph, pw) = (3, 5, 4, 2, 3, 0, 1);
-        let (oh, ow) = (h + 2 * ph + 1 - kh, w + 2 * pw + 1 - kw);
-        let input: Vec<f32> = (0..c * h * w).map(|i| (i as f32).sin()).collect();
-        let (mut cols, mut rows) = (Vec::new(), Vec::new());
-        im2col(&input, c, h, w, kh, kw, ph, pw, oh, ow, &mut cols);
-        im2row(&input, c, h, w, kh, kw, ph, pw, oh, ow, &mut rows);
-        let (r_dim, p) = (c * kh * kw, oh * ow);
-        for r in 0..r_dim {
-            for q in 0..p {
-                assert_eq!(cols[r * p + q].to_bits(), rows[q * r_dim + r].to_bits());
             }
         }
     }

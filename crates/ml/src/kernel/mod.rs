@@ -68,7 +68,7 @@ use std::time::Instant;
 /// every `forward` / `backward` call.
 #[derive(Default)]
 pub struct Scratch {
-    /// im2col / im2row / flipped-im2col column matrices.
+    /// im2col / transposed-sample / flipped-im2col column matrices.
     pub(crate) cols: Vec<f32>,
     /// Per-sample weight-gradient tile; transposed inputs for dense.
     pub(crate) tmp: Vec<f32>,
@@ -345,12 +345,13 @@ mod tests {
         fill(&mut gw_seed, &mut seed);
         let (mut gin_f, mut gw_f, mut gb_f) = (vec![0.0f32; x.len()], gw_seed.clone(), b.clone());
         let (mut gin_r, mut gw_r, mut gb_r) = (vec![0.0f32; x.len()], gw_seed, b.clone());
+        let cols = scratch.cols.clone();
         fast::conv2d_backward(
             &g,
             &wt,
-            &x,
+            &cols,
             &gout,
-            &mut gin_f,
+            Some(&mut gin_f),
             &mut gw_f,
             &mut gb_f,
             &mut scratch,

@@ -1,19 +1,20 @@
 //! Activation layers.
 
-use super::Layer;
+use super::{check_grad_out, Layer};
 use crate::error::MlError;
 use crate::kernel::Scratch;
 use crate::tensor::Tensor;
 
 /// Rectified linear unit, applied element-wise.
 pub struct Relu {
-    mask: Option<Vec<bool>>,
+    /// Cached (input shape, `input > 0` per element).
+    cache: Option<(Vec<usize>, Vec<bool>)>,
 }
 
 impl Relu {
     /// New ReLU layer.
     pub fn new() -> Self {
-        Relu { mask: None }
+        Relu { cache: None }
     }
 
     fn clamp(input: &Tensor) -> Tensor {
@@ -40,15 +41,17 @@ impl Layer for Relu {
     }
 
     fn forward_train(&mut self, input: &Tensor, _scratch: &mut Scratch) -> Result<Tensor, MlError> {
-        self.mask = Some(input.data().iter().map(|&v| v > 0.0).collect());
+        let keep = input.data().iter().map(|&v| v > 0.0).collect();
+        self.cache = Some((input.shape().to_vec(), keep));
         Ok(Self::clamp(input))
     }
 
     fn backward(&mut self, grad_out: &Tensor, _scratch: &mut Scratch) -> Result<Tensor, MlError> {
-        let mask = self
-            .mask
+        let (shape, mask) = self
+            .cache
             .take()
             .ok_or(MlError::BackwardWithoutForward { layer: "Relu" })?;
+        check_grad_out("relu_backward", grad_out, &shape)?;
         let mut g = grad_out.clone();
         for (v, &keep) in g.data_mut().iter_mut().zip(&mask) {
             if !keep {
@@ -79,6 +82,22 @@ mod tests {
         let _ = relu.forward_train(&x, &mut s).unwrap();
         let g = relu.backward(&Tensor::full(&[1, 4], 1.0), &mut s).unwrap();
         assert_eq!(g.data(), &[0.0, 0.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn rejects_mis_shaped_grad_out() {
+        let mut relu = Relu::new();
+        let mut s = Scratch::new();
+        let _ = relu.forward_train(&Tensor::zeros(&[1, 4]), &mut s).unwrap();
+        let e = relu.backward(&Tensor::zeros(&[1, 3]), &mut s).unwrap_err();
+        assert!(matches!(
+            e,
+            MlError::ShapeMismatch {
+                op: "relu_backward",
+                ..
+            }
+        ));
+        assert!(e.to_string().contains("[1, 4]"));
     }
 
     #[test]

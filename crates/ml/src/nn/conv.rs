@@ -6,11 +6,13 @@
 //! one feature across all members, and 1×1 kernels after the wide/long
 //! branches. All are stride-1 instances of this layer.
 //!
-//! The compute lives in [`crate::kernel`], which lowers each sample with
+//! The compute lives in [`crate::kernel`], which lowers the batch with
 //! im2col and runs the blocked GEMM; `kernel::reference` keeps the original
-//! loop nests as the test oracle, bit-identical to that path.
+//! loop nests as the test oracle, bit-identical to that path. A training
+//! forward keeps its im2col columns for the weight gradient instead of a
+//! copy of its input.
 
-use super::{he_normal, Layer};
+use super::{check_grad_out, he_normal, Layer};
 use crate::error::MlError;
 use crate::kernel::{self, ConvGeom, Scratch};
 use crate::tensor::Tensor;
@@ -30,7 +32,12 @@ pub struct Conv2d {
     kw: usize,
     c_in: usize,
     c_out: usize,
-    input_cache: Option<Tensor>,
+    /// Geometry of the last training forward; `backward` takes it.
+    geom_cache: Option<ConvGeom>,
+    /// That forward's `R×(N·P)` im2col columns. The buffer is kept across
+    /// steps and lent to the kernel through `Scratch`, so it is filled in
+    /// place, never reallocated once grown.
+    cols: Vec<f32>,
 }
 
 impl Conv2d {
@@ -63,7 +70,8 @@ impl Conv2d {
             kw,
             c_in,
             c_out,
-            input_cache: None,
+            geom_cache: None,
+            cols: Vec::new(),
         }
     }
 
@@ -92,60 +100,77 @@ impl Conv2d {
         )
     }
 
-    fn run_forward(&self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, MlError> {
-        let g = self.geom("conv2d_forward", input)?;
+    fn run_forward(&self, g: &ConvGeom, input: &Tensor, scratch: &mut Scratch) -> Tensor {
         let mut out = Tensor::zeros(&[g.n, g.c_out, g.oh, g.ow]);
         kernel::conv2d_forward(
-            &g,
+            g,
             self.w.data(),
             self.b.data(),
             input.data(),
             out.data_mut(),
             scratch,
         );
-        Ok(out)
+        out
+    }
+
+    /// Takes the cached training geometry and checks `grad_out` against it.
+    fn take_geom(&mut self, grad_out: &Tensor) -> Result<ConvGeom, MlError> {
+        let g = self
+            .geom_cache
+            .take()
+            .ok_or(MlError::BackwardWithoutForward { layer: "Conv2d" })?;
+        check_grad_out("conv2d_backward", grad_out, &[g.n, g.c_out, g.oh, g.ow])?;
+        Ok(g)
+    }
+
+    fn run_backward(
+        &mut self,
+        g: &ConvGeom,
+        grad_out: &Tensor,
+        grad_in: Option<&mut [f32]>,
+        scratch: &mut Scratch,
+    ) {
+        kernel::conv2d_backward(
+            g,
+            self.w.data(),
+            &self.cols,
+            grad_out.data(),
+            grad_in,
+            self.gw.data_mut(),
+            self.gb.data_mut(),
+            scratch,
+        );
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, MlError> {
-        self.run_forward(input, scratch)
+        let g = self.geom("conv2d_forward", input)?;
+        Ok(self.run_forward(&g, input, scratch))
     }
 
     fn forward_train(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, MlError> {
-        let out = self.run_forward(input, scratch)?;
-        self.input_cache = Some(input.clone());
+        let g = self.geom("conv2d_forward", input)?;
+        // The kernel lowers into `scratch.cols`: lend it this layer's
+        // buffer for the call and take the filled columns back after.
+        std::mem::swap(&mut self.cols, &mut scratch.cols);
+        let out = self.run_forward(&g, input, scratch);
+        std::mem::swap(&mut self.cols, &mut scratch.cols);
+        self.geom_cache = Some(g);
         Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Result<Tensor, MlError> {
-        let input = self
-            .input_cache
-            .take()
-            .ok_or(MlError::BackwardWithoutForward { layer: "Conv2d" })?;
-        let g = self.geom("conv2d_backward", &input)?;
-        let expected = [g.n, g.c_out, g.oh, g.ow];
-        if grad_out.shape() != expected {
-            return Err(MlError::shape(
-                "conv2d_backward",
-                format!(
-                    "grad_out {:?} does not match forward output {expected:?}",
-                    grad_out.shape()
-                ),
-            ));
-        }
+        let g = self.take_geom(grad_out)?;
         let mut grad_in = Tensor::zeros(&[g.n, g.c_in, g.h, g.w]);
-        kernel::conv2d_backward(
-            &g,
-            self.w.data(),
-            input.data(),
-            grad_out.data(),
-            grad_in.data_mut(),
-            self.gw.data_mut(),
-            self.gb.data_mut(),
-            scratch,
-        );
+        self.run_backward(&g, grad_out, Some(grad_in.data_mut()), scratch);
         Ok(grad_in)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Result<(), MlError> {
+        let g = self.take_geom(grad_out)?;
+        self.run_backward(&g, grad_out, None, scratch);
+        Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

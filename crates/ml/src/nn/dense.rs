@@ -6,7 +6,7 @@
 //! per call; `kernel::reference` keeps the original loops as the test
 //! oracle).
 
-use super::{dims2, xavier_uniform, Layer};
+use super::{check_grad_out, dims2, xavier_uniform, Layer};
 use crate::error::MlError;
 use crate::kernel::{self, Scratch};
 use crate::tensor::Tensor;
@@ -95,15 +95,7 @@ impl Layer for Dense {
             .take()
             .ok_or(MlError::BackwardWithoutForward { layer: "Dense" })?;
         let (n, din, dout) = self.checked_dims("dense_backward", &input)?;
-        if grad_out.shape() != [n, dout] {
-            return Err(MlError::shape(
-                "dense_backward",
-                format!(
-                    "grad_out {:?} does not match forward output [{n}, {dout}]",
-                    grad_out.shape()
-                ),
-            ));
-        }
+        check_grad_out("dense_backward", grad_out, &[n, dout])?;
         let mut grad_in = Tensor::zeros(&[n, din]);
         kernel::dense_backward(
             n,
@@ -173,6 +165,8 @@ impl Layer for Flatten {
             .in_shape
             .take()
             .ok_or(MlError::BackwardWithoutForward { layer: "Flatten" })?;
+        let (n, rest) = (shape[0], shape[1..].iter().product());
+        check_grad_out("flatten_backward", grad_out, &[n, rest])?;
         Ok(grad_out.clone().reshape(&shape))
     }
 }
@@ -220,6 +214,24 @@ mod tests {
         let g = f.backward(&y, &mut s).unwrap();
         assert_eq!(g.shape(), &[2, 2, 1, 3]);
         assert_eq!(g.data(), x.data());
+    }
+
+    #[test]
+    fn flatten_rejects_mis_shaped_grad_out() {
+        let mut f = Flatten::new();
+        let mut s = scratch();
+        let _ = f
+            .forward_train(&Tensor::zeros(&[2, 2, 1, 3]), &mut s)
+            .unwrap();
+        let e = f.backward(&Tensor::zeros(&[2, 5]), &mut s).unwrap_err();
+        assert!(matches!(
+            e,
+            MlError::ShapeMismatch {
+                op: "flatten_backward",
+                ..
+            }
+        ));
+        assert!(e.to_string().contains("[2, 6]"));
     }
 
     #[test]

@@ -11,8 +11,13 @@
 //!   is therefore shareable across threads, each thread holding its own
 //!   scratch.
 //! * [`Layer::forward_train`] takes `&mut self` and caches whatever the
-//!   backward pass requires; [`Layer::backward`] consumes the cache and
-//!   accumulates parameter gradients.
+//!   backward pass requires — a convolution keeps the im2col columns its
+//!   forward GEMM read, not its input; [`Layer::backward`] consumes the
+//!   cache, accumulates parameter gradients and returns ∂loss/∂input.
+//! * [`Layer::backward_params`] is `backward` for a caller that discards
+//!   ∂loss/∂input — the first layer of a network, whose input is data. It
+//!   leaves the same parameter gradients, bit for bit; a convolution skips
+//!   the input-gradient lowering and GEMM.
 //!
 //! Data-dependent failures (mis-shaped inputs, a `backward` with no cached
 //! activations) surface as typed [`MlError`]s; constructor invariants that
@@ -59,9 +64,35 @@ pub trait Layer {
     /// otherwise returns [`MlError::BackwardWithoutForward`].
     fn backward(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Result<Tensor, MlError>;
 
+    /// [`Layer::backward`] for a caller that discards ∂loss/∂input:
+    /// accumulates the same parameter gradients, bit for bit, and may skip
+    /// computing the input gradient. The default runs `backward` and drops
+    /// its result.
+    fn backward_params(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Result<(), MlError> {
+        self.backward(grad_out, scratch).map(drop)
+    }
+
     /// Visits each `(value, gradient)` parameter pair in a fixed order.
     /// Parameter-free layers use the default empty impl.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
+}
+
+/// Rejects a `grad_out` whose shape is not the cached forward output's.
+pub(crate) fn check_grad_out(
+    op: &'static str,
+    grad_out: &Tensor,
+    expected: &[usize],
+) -> Result<(), MlError> {
+    if grad_out.shape() == expected {
+        return Ok(());
+    }
+    Err(MlError::shape(
+        op,
+        format!(
+            "grad_out {:?} does not match forward output {expected:?}",
+            grad_out.shape()
+        ),
+    ))
 }
 
 /// Destructures a 2-D shape or reports which op got what instead.
@@ -181,6 +212,19 @@ impl Layer for Sequential {
             g = layer.backward(&g, scratch)?;
         }
         Ok(g)
+    }
+
+    /// Full backward through every layer but the first, which only
+    /// accumulates its parameter gradients.
+    fn backward_params(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Result<(), MlError> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut g = grad_out.clone();
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g, scratch)?;
+        }
+        first.backward_params(&g, scratch)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

@@ -4,7 +4,7 @@
 //! wide/long branches end in *global* max pooling (paper Fig. 8), which
 //! collapses each channel map to a single activation.
 
-use super::{dims4, Layer};
+use super::{check_grad_out, dims4, Layer};
 use crate::error::MlError;
 use crate::kernel::Scratch;
 use crate::tensor::Tensor;
@@ -130,6 +130,12 @@ impl Layer for MaxPool2d {
             .cache
             .take()
             .ok_or(MlError::BackwardWithoutForward { layer: "MaxPool2d" })?;
+        let (oh, ow) = self.output_size(in_shape[2], in_shape[3]);
+        check_grad_out(
+            "maxpool_backward",
+            grad_out,
+            &[in_shape[0], in_shape[1], oh, ow],
+        )?;
         let mut grad_in = Tensor::zeros(&in_shape);
         for (g, &idx) in grad_out.data().iter().zip(&argmax) {
             grad_in.data_mut()[idx] += g;
@@ -220,6 +226,11 @@ impl Layer for GlobalMaxPool2d {
         let (in_shape, argmax) = self.cache.take().ok_or(MlError::BackwardWithoutForward {
             layer: "GlobalMaxPool2d",
         })?;
+        check_grad_out(
+            "global_maxpool_backward",
+            grad_out,
+            &[in_shape[0], in_shape[1], 1, 1],
+        )?;
         let mut grad_in = Tensor::zeros(&in_shape);
         for (g, &idx) in grad_out.data().iter().zip(&argmax) {
             grad_in.data_mut()[idx] += g;
@@ -273,6 +284,46 @@ mod tests {
             .backward(&Tensor::full(&[1, 1, 1, 1], 7.0), &mut s)
             .unwrap();
         assert_eq!(g.data(), &[0.0, 7.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn pool_rejects_mis_shaped_grad_out() {
+        let mut pool = MaxPool2d::new(2, 2);
+        let mut s = scratch();
+        let _ = pool
+            .forward_train(&Tensor::zeros(&[1, 2, 4, 4]), &mut s)
+            .unwrap();
+        let e = pool
+            .backward(&Tensor::zeros(&[1, 2, 2, 1]), &mut s)
+            .unwrap_err();
+        assert!(matches!(
+            e,
+            MlError::ShapeMismatch {
+                op: "maxpool_backward",
+                ..
+            }
+        ));
+        assert!(e.to_string().contains("[1, 2, 2, 2]"));
+    }
+
+    #[test]
+    fn global_pool_rejects_mis_shaped_grad_out() {
+        let mut gp = GlobalMaxPool2d::new();
+        let mut s = scratch();
+        let _ = gp
+            .forward_train(&Tensor::zeros(&[2, 3, 2, 2]), &mut s)
+            .unwrap();
+        let e = gp
+            .backward(&Tensor::zeros(&[2, 2, 1, 1]), &mut s)
+            .unwrap_err();
+        assert!(matches!(
+            e,
+            MlError::ShapeMismatch {
+                op: "global_maxpool_backward",
+                ..
+            }
+        ));
+        assert!(e.to_string().contains("[2, 3, 1, 1]"));
     }
 
     #[test]

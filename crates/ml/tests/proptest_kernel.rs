@@ -7,9 +7,14 @@
 //! strips and partial tiles, and the im2col lowering has to handle
 //! kernels larger than the unpadded input.
 
+use locec_ml::kernel::im2col::{im2col, im2col_batched, sample_rows};
 use locec_ml::kernel::sgemm::sgemm;
 use locec_ml::kernel::{fast, reference, ConvGeom, Scratch};
+use locec_ml::nn::{Conv2d, Layer, Relu, Sequential};
+use locec_ml::Tensor;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Deterministic splitmix-style generator: proptest supplies the seed,
 /// the generator supplies however many values the drawn shape needs.
@@ -22,6 +27,20 @@ fn pseudo(seed: &mut u64) -> f32 {
 
 fn filled(len: usize, seed: &mut u64) -> Vec<f32> {
     (0..len).map(|_| pseudo(seed)).collect()
+}
+
+/// Every parameter gradient of `layer`, in `visit_params` order.
+fn param_grads(layer: &mut dyn Layer) -> Vec<Vec<f32>> {
+    let mut grads = Vec::new();
+    layer.visit_params(&mut |_, g| grads.push(g.data().to_vec()));
+    grads
+}
+
+fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+    prop_assert_eq!(got.len(), want.len(), "{} length", what);
+    for (i, (a, b)) in got.iter().zip(want).enumerate() {
+        prop_assert_eq!(a.to_bits(), b.to_bits(), "{}[{}]: {} vs {}", what, i, a, b);
+    }
 }
 
 proptest! {
@@ -93,13 +112,15 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "forward {} vs {}", a, b);
         }
 
+        let mut cols = Vec::new();
+        im2col_batched(&input, n, c_in, h, w, kh, kw, ph, pw, g.oh, g.ow, &mut cols);
         let mut gin_ref = vec![0.0f32; input.len()];
         let mut gin_fast = vec![0.0f32; input.len()];
         let (mut gw_ref, mut gw_fast) = (gw0.clone(), gw0);
         let (mut gb_ref, mut gb_fast) = (gb0.clone(), gb0);
         reference::conv2d_backward(&g, &wts, &input, &gout, &mut gin_ref, &mut gw_ref, &mut gb_ref);
         fast::conv2d_backward(
-            &g, &wts, &input, &gout, &mut gin_fast, &mut gw_fast, &mut gb_fast, &mut scratch,
+            &g, &wts, &cols, &gout, Some(&mut gin_fast), &mut gw_fast, &mut gb_fast, &mut scratch,
         );
         for (a, b) in gin_fast.iter().zip(&gin_ref) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "gin {} vs {}", a, b);
@@ -109,6 +130,132 @@ proptest! {
         }
         for (a, b) in gb_fast.iter().zip(&gb_ref) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "gb {} vs {}", a, b);
+        }
+        }
+    }
+
+    #[test]
+    fn conv2d_layer_backward_matches_reference_bitwise(
+        n in 1usize..=4,
+        c_in in 1usize..4,
+        c_out in 1usize..5,
+        h in 1usize..8,
+        w in 1usize..8,
+        kh in 1usize..6,
+        kw in 1usize..6,
+        ph in 0usize..3,
+        pw in 0usize..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        // The layer's own forward_train → backward: columns cached by the
+        // forward, not re-lowered, must give the reference's bits. Shapes
+        // span padded, asymmetric and kernel-larger-than-input cases.
+        if let Ok(g) = ConvGeom::validate("prop", &[n, c_in, h, w], c_in, c_out, kh, kw, ph, pw) {
+        let mut s = seed;
+        let mut conv = Conv2d::with_padding(c_in, c_out, kh, kw, ph, pw, &mut StdRng::seed_from_u64(seed));
+        let input = Tensor::from_vec(&[n, c_in, h, w], filled(n * c_in * h * w, &mut s));
+        let gout = Tensor::from_vec(&[n, c_out, g.oh, g.ow], filled(n * c_out * g.oh * g.ow, &mut s));
+        // Junk in gw/gb proves accumulation (+=) matches too.
+        let mut params = Vec::new();
+        conv.visit_params(&mut |v, gr| {
+            let junk = filled(gr.len(), &mut s);
+            gr.data_mut().copy_from_slice(&junk);
+            params.push((v.data().to_vec(), gr.data().to_vec()));
+        });
+        let [(wts, mut gw_ref), (bias, mut gb_ref)] = <[_; 2]>::try_from(params).unwrap();
+
+        let mut scratch = Scratch::new();
+        let out = conv.forward_train(&input, &mut scratch).unwrap();
+        let gin = conv.backward(&gout, &mut scratch).unwrap();
+
+        let mut out_ref = vec![0.0f32; out.len()];
+        let mut gin_ref = vec![0.0f32; input.len()];
+        reference::conv2d_forward(&g, &wts, &bias, input.data(), &mut out_ref);
+        reference::conv2d_backward(
+            &g, &wts, input.data(), gout.data(), &mut gin_ref, &mut gw_ref, &mut gb_ref,
+        );
+        assert_bits_eq(out.data(), &out_ref, "forward");
+        assert_bits_eq(gin.data(), &gin_ref, "gin");
+        let grads = param_grads(&mut conv);
+        assert_bits_eq(&grads[0], &gw_ref, "gw");
+        assert_bits_eq(&grads[1], &gb_ref, "gb");
+        }
+    }
+
+    #[test]
+    fn backward_params_matches_full_backward_bitwise(
+        n in 1usize..=4,
+        c in 1usize..4,
+        h in 1usize..8,
+        w in 1usize..8,
+        kh in 1usize..4,
+        kw in 1usize..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        // conv → relu → conv: `backward_params` runs the full backward
+        // through the last two layers and skips only the first conv's
+        // input gradient, so every parameter gradient keeps its bits.
+        let (ph, pw) = (kh / 2, kw / 2);
+        let build = || {
+            let mut rng = StdRng::seed_from_u64(seed);
+            Sequential::new()
+                .push(Conv2d::with_padding(1, c, kh, kw, ph, pw, &mut rng))
+                .push(Relu::new())
+                .push(Conv2d::new(c, 2, 1, 1, &mut rng))
+        };
+        let (mut full, mut params_only) = (build(), build());
+        let (oh, ow) = (h + 2 * ph + 1 - kh, w + 2 * pw + 1 - kw);
+        let mut s = seed;
+        let input = Tensor::from_vec(&[n, 1, h, w], filled(n * h * w, &mut s));
+        let gout = Tensor::from_vec(&[n, 2, oh, ow], filled(n * 2 * oh * ow, &mut s));
+        let mut scratch = Scratch::new();
+
+        full.forward_train(&input, &mut scratch).unwrap();
+        full.backward(&gout, &mut scratch).unwrap();
+        params_only.forward_train(&input, &mut scratch).unwrap();
+        params_only.backward_params(&gout, &mut scratch).unwrap();
+        for (i, (a, b)) in param_grads(&mut params_only)
+            .iter()
+            .zip(&param_grads(&mut full))
+            .enumerate()
+        {
+            assert_bits_eq(a, b, &format!("param grad {i}"));
+        }
+    }
+
+    #[test]
+    fn sample_rows_is_transpose_of_im2col(
+        n in 1usize..=4,
+        c in 1usize..4,
+        h in 1usize..20,
+        w in 1usize..20,
+        kh in 1usize..5,
+        kw in 1usize..5,
+        ph in 0usize..3,
+        pw in 0usize..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        // Sample `ni`'s block of the batched columns, transposed, is that
+        // sample's own im2col matrix read row-major as `P×R` — the operand
+        // the weight-gradient GEMM needs. Grids up to 19×19 cross the
+        // transpose's 16-wide tiles.
+        if let Ok(g) = ConvGeom::validate("prop", &[n, c, h, w], c, 1, kh, kw, ph, pw) {
+        let (r_dim, p) = (c * kh * kw, g.oh * g.ow);
+        let mut s = seed;
+        let input = filled(n * c * h * w, &mut s);
+        let (mut batched, mut cols) = (Vec::new(), Vec::new());
+        // Stale, longer contents prove the rows are fully overwritten.
+        let mut rows = filled(2 * p * r_dim + 3, &mut s);
+        im2col_batched(&input, n, c, h, w, kh, kw, ph, pw, g.oh, g.ow, &mut batched);
+        for ni in 0..n {
+            im2col(&input[ni * c * h * w..(ni + 1) * c * h * w], c, h, w, kh, kw, ph, pw, g.oh, g.ow, &mut cols);
+            sample_rows(&batched, r_dim, n, p, ni, &mut rows);
+            prop_assert_eq!(rows.len(), p * r_dim);
+            for r in 0..r_dim {
+                for q in 0..p {
+                    prop_assert_eq!(cols[r * p + q].to_bits(), rows[q * r_dim + r].to_bits());
+                }
+            }
         }
         }
     }
