@@ -87,6 +87,14 @@ pub struct WorkerSpawn {
     pub worker_args: Vec<String>,
 }
 
+/// Work-queue granularity: tasks per (expected) worker. Tasks are
+/// deliberately smaller than `1/workers` of the ego range so fast workers
+/// dynamically steal more of the skew.
+const TASKS_PER_WORKER: u32 = 4;
+
+/// Replacement spawns allowed after local workers die.
+const MAX_RESPAWNS: u32 = 8;
+
 /// Coordinator configuration.
 #[derive(Clone, Debug)]
 pub struct CoordinateConfig {
@@ -98,11 +106,8 @@ pub struct CoordinateConfig {
     /// How to spawn local workers; `None` disables spawning (and
     /// respawning) regardless of `local_workers`.
     pub spawn: Option<WorkerSpawn>,
-    /// Work-queue granularity: tasks per (expected) worker. Tasks are
-    /// deliberately smaller than `1/workers` of the ego range so fast
-    /// workers dynamically steal more of the skew.
-    pub tasks_per_worker: u32,
-    /// Explicit total task count, overriding `tasks_per_worker`.
+    /// Explicit total task count, overriding the default of four tasks per
+    /// local worker.
     pub explicit_tasks: Option<u32>,
     /// A lease with no heartbeat for this long is re-queued and its worker
     /// declared dead.
@@ -113,8 +118,6 @@ pub struct CoordinateConfig {
     /// Ship the (graph-only) world inline in the Welcome instead of a
     /// snapshot path — for workers that share no filesystem.
     pub ship_world_bytes: bool,
-    /// Replacement spawns allowed after local workers die.
-    pub max_respawns: u32,
     /// Give up when no worker is connected and nothing has happened for
     /// this long.
     pub stall_timeout: Duration,
@@ -144,12 +147,10 @@ impl CoordinateConfig {
             listen: "127.0.0.1:0".into(),
             local_workers: workers,
             spawn: None,
-            tasks_per_worker: 4,
             explicit_tasks: None,
             lease_timeout: Duration::from_secs(10),
             heartbeat_interval: None,
             ship_world_bytes: false,
-            max_respawns: 8,
             stall_timeout: Duration::from_secs(300),
             checkpoint: None,
             checkpoint_every: Duration::ZERO,
@@ -403,7 +404,7 @@ impl Coordinator {
                 .cfg
                 .explicit_tasks
                 .unwrap_or_else(|| {
-                    (self.cfg.local_workers.max(1) as u32).saturating_mul(self.cfg.tasks_per_worker)
+                    (self.cfg.local_workers.max(1) as u32).saturating_mul(TASKS_PER_WORKER)
                 })
                 .max(1),
         };
@@ -652,9 +653,7 @@ impl Coordinator {
                 // Keep the local fleet at strength (bounded respawn budget).
                 if let Some(spawn) = &spawner {
                     children.retain_mut(|c| matches!(c.try_wait(), Ok(None)));
-                    if children.len() < self.cfg.local_workers
-                        && stats.respawns < self.cfg.max_respawns
-                    {
+                    if children.len() < self.cfg.local_workers && stats.respawns < MAX_RESPAWNS {
                         children.push(spawn_local_worker(spawn, self.addr)?);
                         stats.respawns += 1;
                         locec_obs::log::debug("coordinator", "respawned a local worker", &[]);

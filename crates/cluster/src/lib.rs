@@ -56,7 +56,7 @@ pub use fault::{FaultKind, FaultPlan, FaultRule, FaultyTransport, TransportMeter
 pub use frame::FrameError;
 pub use protocol::RejectReason;
 pub use protocol::WorkerMetrics;
-pub use worker::{run_worker, RetryPolicy, WorkerOptions, WorkerReport};
+pub use worker::{run_worker, RetryPolicy, WorkerOptions};
 
 use locec_store::SnapshotError;
 use std::fmt;

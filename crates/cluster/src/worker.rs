@@ -103,24 +103,6 @@ pub struct WorkerOptions {
     pub retry: RetryPolicy,
 }
 
-/// What a worker did before shutting down.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WorkerReport {
-    /// Leases whose divide finished (whether or not the result survived
-    /// the wire — a lease lost to a write fault is requeued and redone
-    /// elsewhere, and this counter honestly records the work performed).
-    pub leases_completed: u64,
-    /// Total egos divided across those leases.
-    pub egos_divided: u64,
-    /// Connections re-established after a transient failure.
-    pub reconnects: u64,
-    /// Fault-plan rules that fired on this worker's transport.
-    pub faults_fired: u64,
-    /// The full cumulative metrics block this worker last shipped to its
-    /// coordinator (compute/wire split, frame and byte traffic).
-    pub metrics: WorkerMetrics,
-}
-
 /// Cumulative per-run metric state shared by the lease loop and the
 /// heartbeat thread. Deliberately **per run**, not process-global: a
 /// host running several in-process workers (the scaling bench, the
@@ -186,12 +168,16 @@ fn fresh_nonce(salt: u64) -> u64 {
 
 /// Connects to a coordinator and serves leases until it says Shutdown,
 /// reconnecting through transient failures per [`WorkerOptions::retry`].
-pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerReport, ClusterError> {
+/// Returns the cumulative metrics block this worker ships its coordinator,
+/// as of shutdown. Its `leases_completed` counts every lease whose divide
+/// finished, whether or not the result survived the wire: a lease lost to
+/// a write fault is requeued and redone elsewhere, and the counter records
+/// the work performed.
+pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerMetrics, ClusterError> {
     let meter = Arc::new(TransportMeter::new());
     let transport =
         FaultyTransport::from_plan(opts.fault_plan.clone()).with_meter(Arc::clone(&meter));
     let hub = Arc::new(MetricsHub::default());
-    let mut report = WorkerReport::default();
     let mut identity = PriorIdentity::default();
     let mut cached_graph: Option<CsrGraph> = None;
     let mut attempts = 0u32;
@@ -206,15 +192,12 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerReport, Clus
             &transport,
             &meter,
             &hub,
-            &mut report,
             &mut identity,
             &mut cached_graph,
             &mut progressed,
         );
-        report.faults_fired = transport.faults_fired();
-        report.metrics = hub.snapshot(&meter, &transport);
         let err = match result {
-            Ok(()) => return Ok(report),
+            Ok(()) => return Ok(hub.snapshot(&meter, &transport)),
             Err(e) => e,
         };
         if is_permanent(&err) {
@@ -236,8 +219,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerReport, Clus
                 }
             });
         }
-        report.reconnects += 1;
-        hub.reconnects.store(report.reconnects, Ordering::Relaxed);
+        hub.reconnects.fetch_add(1, Ordering::Relaxed);
         locec_obs::log::warn(
             "worker",
             "connection lost; reconnecting",
@@ -260,7 +242,6 @@ fn run_connection(
     transport: &FaultyTransport,
     meter: &Arc<TransportMeter>,
     hub: &Arc<MetricsHub>,
-    report: &mut WorkerReport,
     identity: &mut PriorIdentity,
     cached_graph: &mut Option<CsrGraph>,
     progressed: &mut bool,
@@ -271,7 +252,7 @@ fn run_connection(
     // announces its ping cadence.
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
 
-    let client_nonce = fresh_nonce(identity.worker_id ^ report.reconnects);
+    let client_nonce = fresh_nonce(identity.worker_id ^ hub.reconnects.load(Ordering::Relaxed));
     let (auth, client_mac) = match &opts.secret {
         Some(secret) => (AUTH_KEYED, handshake_mac(secret, "hello", client_nonce)),
         None => (AUTH_NONE, 0),
@@ -363,7 +344,6 @@ fn run_connection(
         hub,
         &welcome,
         opts,
-        report,
         cached_graph,
         &busy,
     );
@@ -383,7 +363,6 @@ fn serve_leases(
     hub: &Arc<MetricsHub>,
     welcome: &Welcome,
     opts: &WorkerOptions,
-    report: &mut WorkerReport,
     cached_graph: &mut Option<CsrGraph>,
     busy: &Arc<AtomicBool>,
 ) -> Result<(), ClusterError> {
@@ -442,12 +421,9 @@ fn serve_leases(
                 // The completed-work counters advance *before* the result
                 // frame is encoded, so the metrics block on this very
                 // ShardResult already covers the lease it carries.
-                report.leases_completed += 1;
-                report.egos_divided += u64::from(lease.ego_end - lease.ego_start);
-                hub.leases_completed
-                    .store(report.leases_completed, Ordering::SeqCst);
+                hub.leases_completed.fetch_add(1, Ordering::SeqCst);
                 hub.egos_divided
-                    .store(report.egos_divided, Ordering::SeqCst);
+                    .fetch_add(u64::from(lease.ego_end - lease.ego_start), Ordering::SeqCst);
                 let msg = ShardResult {
                     lease_id: lease.lease_id,
                     shard_bytes: shard_to_bytes(&shard),

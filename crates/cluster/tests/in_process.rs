@@ -196,12 +196,12 @@ fn worker_returns_promptly_when_the_run_ends_mid_heartbeat_interval() {
         let _ = done.send(run_worker(&addr, &WorkerOptions::default()));
     });
     coordinator.run().expect("coordination completes");
-    let report = finished
+    let metrics = finished
         .recv_timeout(Duration::from_secs(5))
         .expect("the worker returns within 5 s of the run's end")
         .expect("worker succeeds");
     worker.join().expect("worker thread not poisoned");
-    assert!(report.leases_completed >= 1);
+    assert!(metrics.leases_completed >= 1);
 }
 
 #[test]
@@ -376,12 +376,12 @@ fn partial_checkpoint_resume_requeues_only_uncovered_tasks() {
     let addr = coordinator.local_addr().to_string();
     let worker = std::thread::spawn(move || run_worker(&addr, &WorkerOptions::default()));
     let outcome = coordinator.run().expect("resume completes");
-    let report = worker.join().unwrap().expect("worker succeeds");
+    let metrics = worker.join().unwrap().expect("worker succeeds");
 
     assert_division_eq(&outcome.division, &expected);
     assert_eq!(outcome.stats.tasks, 6);
     assert_eq!(
-        report.egos_divided,
+        metrics.egos_divided,
         u64::from(n as u32 - covered_end),
         "only the uncovered tail may be re-divided"
     );

@@ -151,18 +151,70 @@ impl DivisionResult {
 
     /// Checks that this division was computed on `graph`. Every membership
     /// lookup is keyed by the graph's adjacency slots, so a division of
-    /// another world would silently give wrong answers; the membership
-    /// table must cover exactly the graph's `2m` slots.
+    /// another world would silently give wrong answers. The table must
+    /// cover exactly the graph's `2m` slots, and every slot must name a
+    /// community of its ego that holds the slot's friend, with each member
+    /// of each community named by exactly one slot. So every lookup finds
+    /// the one community that holds its friend.
     pub fn ensure_matches(&self, graph: &CsrGraph) -> Result<(), String> {
-        if self.membership.len() == graph.volume() {
-            return Ok(());
+        let mismatch = |what: String| {
+            Err(format!(
+                "division does not match the graph: {what} — was the division computed on a \
+                 different world?"
+            ))
+        };
+        if self.membership.len() != graph.volume() {
+            return mismatch(format!(
+                "membership table covers {} adjacency slots, the graph has {}",
+                self.membership.len(),
+                graph.volume()
+            ));
         }
-        Err(format!(
-            "division does not match the graph: membership table covers {} adjacency slots, \
-             the graph has {} — was the division computed on a different world?",
-            self.membership.len(),
-            graph.volume()
-        ))
+        // One walk per ego over its ascending neighbour list. The ego's
+        // communities are a contiguous run `lo..hi` (ego order), each with a
+        // cursor into its ascending members: the friend in a slot must be
+        // the next member of the community the slot names. A walk per
+        // community instead would rescan the neighbour list once for each
+        // of the ego's communities.
+        let communities = &self.communities;
+        let mut cursors: Vec<usize> = Vec::new();
+        let mut lo = 0usize;
+        for ego in graph.nodes() {
+            let hi = lo
+                + communities[lo..]
+                    .iter()
+                    .take_while(|c| c.ego == ego)
+                    .count();
+            cursors.clear();
+            cursors.resize(hi - lo, 0);
+            let slots = &self.membership[graph.adjacency_offset(ego)..];
+            for (&friend, &ci) in graph.neighbors(ego).iter().zip(slots) {
+                let ci = ci as usize;
+                if !(lo..hi).contains(&ci)
+                    || communities[ci].members.get(cursors[ci - lo]) != Some(&friend)
+                {
+                    return mismatch(format!(
+                        "the slot of friend {} of ego {} names no community of the ego that \
+                         holds the friend",
+                        friend.0, ego.0
+                    ));
+                }
+                cursors[ci - lo] += 1;
+            }
+            if let Some(ci) = (lo..hi).find(|&ci| cursors[ci - lo] != communities[ci].len()) {
+                return mismatch(format!(
+                    "community {ci} holds members that no slot of its ego {} names",
+                    ego.0
+                ));
+            }
+            lo = hi;
+        }
+        if lo != communities.len() {
+            return mismatch(format!(
+                "community {lo} is out of ego order or its ego is outside the graph"
+            ));
+        }
+        Ok(())
     }
 
     /// Reassembles a division from untrusted stored parts without
@@ -371,14 +423,16 @@ pub fn divide_egos(graph: &CsrGraph, egos: &[NodeId], config: &LocecConfig) -> V
 /// `graph`: clean egos' communities depend only on their (unchanged) ego
 /// networks, and the membership table is rebuilt against the evolved
 /// graph's adjacency slots by [`DivisionResult::from_communities`].
+///
+/// Clones `base`; callers that never reuse it call
+/// [`divide_update_owned`].
 pub fn divide_update(
     graph: &CsrGraph,
     base: &DivisionResult,
     dirty: &[NodeId],
     config: &LocecConfig,
 ) -> DivisionResult {
-    let fresh = divide_egos(graph, dirty, config);
-    splice_update(graph, base, dirty, fresh, config.threads)
+    divide_update_owned(graph, base.clone(), dirty, config)
 }
 
 /// Owned-base variant of [`divide_update`] for callers that never reuse the
@@ -393,7 +447,7 @@ pub fn divide_update_owned(
     config: &LocecConfig,
 ) -> DivisionResult {
     let fresh = divide_egos(graph, dirty, config);
-    splice_update_owned(graph, base, dirty, fresh, config.threads)
+    splice_update(graph, base, dirty, fresh, config.threads)
 }
 
 /// Dirty-ego fraction above which the incremental path stops paying off
@@ -423,70 +477,34 @@ pub fn update_prefers_full_divide(dirty_len: usize, num_nodes: usize) -> bool {
 /// can reuse it: drops `base`'s communities of `dirty` egos, merges in
 /// `fresh` (which must be in ego order and cover only `dirty` egos), and
 /// rebuilds the membership table against `graph`. Clean communities are
-/// cloned out of the borrowed base; use [`splice_update_owned`] when the
-/// base is disposable.
+/// moved out of `base`, not cloned.
 pub fn splice_update(
-    graph: &CsrGraph,
-    base: &DivisionResult,
-    dirty: &[NodeId],
-    fresh: Vec<LocalCommunity>,
-    threads: usize,
-) -> DivisionResult {
-    check_splice_inputs(dirty, &fresh);
-    let clean = base
-        .communities
-        .iter()
-        .filter(|c| dirty.binary_search(&c.ego).is_err())
-        .cloned();
-    let capacity = base.communities.len() + fresh.len();
-    let merged = splice_merge(clean, fresh, capacity);
-    DivisionResult::from_communities(graph, merged, threads)
-}
-
-/// Owned-base [`splice_update`]: identical output, but clean communities
-/// are moved (and the dirty egos' stale communities dropped) instead of
-/// cloned — ROADMAP item (c).
-pub fn splice_update_owned(
     graph: &CsrGraph,
     base: DivisionResult,
     dirty: &[NodeId],
     fresh: Vec<LocalCommunity>,
     threads: usize,
 ) -> DivisionResult {
-    check_splice_inputs(dirty, &fresh);
-    let capacity = base.communities.len() + fresh.len();
+    debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]));
+    debug_assert!(fresh.windows(2).all(|w| w[0].ego <= w[1].ego));
+    debug_assert!(fresh.iter().all(|c| dirty.binary_search(&c.ego).is_ok()));
+    // Two-way merge by ego of the surviving base communities and the
+    // re-divided `fresh` ones. The two streams' ego sets are disjoint, so
+    // the interleave is unambiguous.
+    let mut merged = Vec::with_capacity(base.communities.len() + fresh.len());
+    let mut fresh = fresh.into_iter().peekable();
     let clean = base
         .communities
         .into_iter()
         .filter(|c| dirty.binary_search(&c.ego).is_err());
-    let merged = splice_merge(clean, fresh, capacity);
-    DivisionResult::from_communities(graph, merged, threads)
-}
-
-fn check_splice_inputs(dirty: &[NodeId], fresh: &[LocalCommunity]) {
-    debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]));
-    debug_assert!(fresh.windows(2).all(|w| w[0].ego <= w[1].ego));
-    debug_assert!(fresh.iter().all(|c| dirty.binary_search(&c.ego).is_ok()));
-}
-
-/// Two-way merge by ego of the surviving base communities (already
-/// filtered to clean egos) and the re-divided `fresh` communities. The two
-/// streams' ego sets are disjoint, so the interleave is unambiguous.
-fn splice_merge(
-    clean: impl Iterator<Item = LocalCommunity>,
-    fresh: Vec<LocalCommunity>,
-    capacity: usize,
-) -> Vec<LocalCommunity> {
-    let mut merged = Vec::with_capacity(capacity);
-    let mut fresh = fresh.into_iter().peekable();
     for c in clean {
-        while fresh.peek().is_some_and(|f| f.ego < c.ego) {
-            merged.push(fresh.next().unwrap());
+        while let Some(f) = fresh.next_if(|f| f.ego < c.ego) {
+            merged.push(f);
         }
         merged.push(c);
     }
     merged.extend(fresh);
-    merged
+    DivisionResult::from_communities(graph, merged, threads)
 }
 
 /// Splices `chunk` — the communities of one contiguous ego range, in ego
@@ -858,6 +876,70 @@ mod tests {
     }
 
     #[test]
+    fn ensure_matches_rejects_parts_that_pass_raw_validation() {
+        let g = fig7_graph();
+        let d = divide(&g, &config());
+        d.ensure_matches(&g).unwrap();
+        let check = |communities: Vec<LocalCommunity>, membership: Vec<u32>| {
+            DivisionResult::from_raw_parts(communities, membership)
+                .expect("passes the raw-parts checks")
+                .ensure_matches(&g)
+                .unwrap_err()
+        };
+        let table = d.membership_table();
+        let misnamed = "names no community of the ego that holds the friend";
+
+        // An uncovered slot.
+        let mut uncovered = table.to_vec();
+        uncovered[0] = NO_COMMUNITY;
+        assert!(check(d.communities.clone(), uncovered).contains(misnamed));
+
+        // An in-range index of a community that lacks the slot's friend.
+        let other = (0..d.num_communities() as u32)
+            .find(|&c| c != table[0])
+            .unwrap();
+        let mut wrong = table.to_vec();
+        wrong[0] = other;
+        assert!(check(d.communities.clone(), wrong).contains(misnamed));
+
+        // A member dropped from its community: its slot still names it.
+        let mut shrunk = d.communities.clone();
+        let big = shrunk.iter().position(|c| c.len() > 1).unwrap();
+        shrunk[big].members.pop();
+        shrunk[big].tightness.pop();
+        assert!(check(shrunk, table.to_vec()).contains(misnamed));
+
+        // A member that is not a friend of its ego, after every real one.
+        let (ci, outsider) = d
+            .communities
+            .iter()
+            .enumerate()
+            .find_map(|(ci, c)| {
+                let last = *c.members.last().unwrap();
+                g.nodes()
+                    .find(|&v| v > last && v != c.ego && !g.has_edge(c.ego, v))
+                    .map(|v| (ci, v))
+            })
+            .unwrap();
+        let mut stranger = d.communities.clone();
+        stranger[ci].members.push(outsider);
+        stranger[ci].tightness.push(1.0);
+        let err = check(stranger, table.to_vec());
+        assert!(err.contains("holds members that no slot"), "{err}");
+
+        // A community of an ego outside the graph (empty, so every slot
+        // still checks out).
+        let mut far = d.communities.clone();
+        far.push(LocalCommunity {
+            ego: NodeId(g.num_nodes() as u32),
+            members: Vec::new(),
+            tightness: Vec::new(),
+        });
+        let err = check(far, table.to_vec());
+        assert!(err.contains("outside the graph"), "{err}");
+    }
+
+    #[test]
     fn divide_update_is_bit_identical_to_full_divide() {
         use locec_graph::{dirty_egos, GraphDelta};
         let g = fig7_graph();
@@ -932,33 +1014,6 @@ mod tests {
         let full = divide(&applied.graph, &cfg);
         assert_eq!(updated.num_communities(), full.num_communities());
         assert_eq!(updated.membership, full.membership);
-    }
-
-    #[test]
-    fn owned_splice_matches_borrowed_splice() {
-        use locec_graph::{dirty_egos, GraphDelta};
-        let g = fig7_graph();
-        let cfg = config();
-        let base = divide(&g, &cfg);
-        let delta = GraphDelta::new(9, vec![(5, 7)], vec![(6, 8)]).unwrap();
-        let applied = g.apply_delta(&delta).unwrap();
-        let dirty = dirty_egos(&g, &delta);
-        let fresh = divide_egos(&applied.graph, &dirty, &cfg);
-        let borrowed = splice_update(&applied.graph, &base, &dirty, fresh.clone(), cfg.threads);
-        let owned = splice_update_owned(&applied.graph, base.clone(), &dirty, fresh, cfg.threads);
-        assert_eq!(borrowed.num_communities(), owned.num_communities());
-        for (a, b) in borrowed.communities.iter().zip(&owned.communities) {
-            assert_eq!(a.ego, b.ego);
-            assert_eq!(a.members, b.members);
-            assert_eq!(
-                a.tightness.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
-                b.tightness.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
-            );
-        }
-        assert_eq!(borrowed.membership, owned.membership);
-        // And both equal the owned divide_update entry point.
-        let via_update = divide_update_owned(&applied.graph, base, &dirty, &cfg);
-        assert_eq!(owned.membership, via_update.membership);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl GraphBuilder {
         self.num_nodes
     }
 
-    /// Number of edges added so far (before deduplication).
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the undirected edge `{u, v}`. Self-loops are ignored. Duplicates
     /// (in either orientation) are removed when the graph is built.
     ///
@@ -77,13 +72,6 @@ impl GraphBuilder {
         let (a, b) = if u.0 <= v.0 { (u.0, v.0) } else { (v.0, u.0) };
         self.edges.push((a, b));
         true
-    }
-
-    /// Adds every edge from an iterator of endpoint pairs.
-    pub fn extend_edges<I: IntoIterator<Item = (NodeId, NodeId)>>(&mut self, iter: I) {
-        for (u, v) in iter {
-            self.add_edge(u, v);
-        }
     }
 
     /// Freezes the builder into an immutable [`CsrGraph`].
@@ -144,16 +132,6 @@ mod tests {
     fn panics_on_out_of_range() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(NodeId(0), NodeId(5));
-    }
-
-    #[test]
-    fn extend_edges_bulk() {
-        let mut b = GraphBuilder::with_capacity(5, 4);
-        b.extend_edges((0..4).map(|i| (NodeId(i), NodeId(i + 1))));
-        assert_eq!(b.raw_edge_count(), 4);
-        let g = b.build();
-        assert_eq!(g.num_edges(), 4);
-        assert_eq!(g.degree(NodeId(2)), 2);
     }
 
     #[test]

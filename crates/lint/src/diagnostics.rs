@@ -65,9 +65,6 @@ pub struct Finding {
     pub col: u32,
     /// What is wrong and what to do about it.
     pub message: String,
-    /// Whether a baseline entry absorbs this finding (legacy debt: reported
-    /// in `--json`, excluded from the failing set).
-    pub baselined: bool,
 }
 
 impl fmt::Display for Finding {
@@ -104,30 +101,21 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Serializes a lint run as a single JSON object — the machine output CI
-/// archives. Violations appear in diagnostic order; baselined ones are
-/// included with `"baselined": true` so burn-down progress is visible in
-/// the artifact history.
+/// archives. Violations appear in diagnostic order.
 pub fn to_json(findings: &[Finding], files_scanned: usize, pragma_suppressed: usize) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
     out.push_str(&format!("  \"pragma_suppressed\": {pragma_suppressed},\n"));
-    let baselined = findings.iter().filter(|f| f.baselined).count();
-    out.push_str(&format!("  \"baselined\": {baselined},\n"));
-    out.push_str(&format!(
-        "  \"new_violations\": {},\n",
-        findings.len() - baselined
-    ));
     out.push_str("  \"violations\": [\n");
     for (i, f) in findings.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"rule\": \"{}\", \"slug\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-             \"col\": {}, \"baselined\": {}, \"message\": \"{}\"}}{}\n",
+             \"col\": {}, \"message\": \"{}\"}}{}\n",
             f.rule.id(),
             f.rule.slug(),
             json_escape(&f.file),
             f.line,
             f.col,
-            f.baselined,
             json_escape(&f.message),
             if i + 1 < findings.len() { "," } else { "" }
         ));
@@ -148,7 +136,6 @@ mod tests {
             line: 12,
             col: 9,
             message: "`.unwrap()` in non-test code".into(),
-            baselined: false,
         };
         assert_eq!(
             f.to_string(),
@@ -164,14 +151,12 @@ mod tests {
             line: 1,
             col: 2,
             message: "quote \" and\nnewline".into(),
-            baselined: true,
         };
         let json = to_json(&[f], 3, 1);
         assert!(json.contains("\\\"b.rs"));
         assert!(json.contains("\\n"));
-        assert!(json.contains("\"baselined\": 1"));
-        assert!(json.contains("\"new_violations\": 0"));
         assert!(json.contains("\"files_scanned\": 3"));
+        assert!(json.contains("\"pragma_suppressed\": 1"));
     }
 
     #[test]

@@ -19,21 +19,18 @@
 //! * **R5 lock-hygiene** — no `MutexGuard` live across blocking socket
 //!   I/O.
 //!
-//! Justified exceptions are annotated in place with
-//! `// locec-lint: allow(R2) — reason` (the justification is mandatory),
-//! and legacy debt burns down through a committed baseline file
-//! ([`baseline`]): baselined findings are reported but do not fail, new
-//! ones always do. Run it as `locec lint` (human diagnostics,
+//! The one way to excuse a finding is a pragma in place,
+//! `// locec-lint: allow(R2) — reason`, on the finding's line or the line
+//! above; the justification is mandatory. Every finding a pragma does not
+//! excuse fails the run. Run it as `locec lint` (human diagnostics,
 //! `file:line:col: rule-id: message`) or `locec lint --json` (the CI
 //! artifact).
 
-pub mod baseline;
 pub mod diagnostics;
 pub mod rules;
 pub mod scanner;
 pub mod workspace;
 
-pub use baseline::Baseline;
 pub use diagnostics::{to_json, Finding, RuleId};
 pub use rules::LintConfig;
 pub use workspace::{load_workspace, Workspace};
@@ -42,8 +39,8 @@ use std::path::Path;
 
 /// The result of one lint run.
 pub struct LintOutcome {
-    /// Every finding, sorted by (file, line, col, rule); baselined ones
-    /// are marked.
+    /// Every finding no justified pragma excuses, sorted by
+    /// (file, line, col, rule).
     pub findings: Vec<Finding>,
     /// How many files were scanned.
     pub files_scanned: usize,
@@ -52,14 +49,9 @@ pub struct LintOutcome {
 }
 
 impl LintOutcome {
-    /// Findings not absorbed by the baseline — the set that fails the run.
-    pub fn new_violations(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| !f.baselined)
-    }
-
-    /// Whether the run passes against its baseline.
+    /// Whether the run passes: no finding survived the pragmas.
     pub fn is_clean(&self) -> bool {
-        self.new_violations().next().is_none()
+        self.findings.is_empty()
     }
 
     /// The machine-readable report.
@@ -68,20 +60,19 @@ impl LintOutcome {
     }
 }
 
-/// Scans `root` and runs every rule, pragma filter and the baseline.
-pub fn lint(root: &Path, cfg: &LintConfig, baseline: &Baseline) -> std::io::Result<LintOutcome> {
+/// Scans `root` and runs every rule and the pragma filter.
+pub fn lint(root: &Path, cfg: &LintConfig) -> std::io::Result<LintOutcome> {
     let ws = load_workspace(root)?;
-    Ok(lint_workspace(&ws, cfg, baseline))
+    Ok(lint_workspace(&ws, cfg))
 }
 
 /// Runs the rules over an already-loaded workspace.
-pub fn lint_workspace(ws: &Workspace, cfg: &LintConfig, baseline: &Baseline) -> LintOutcome {
+pub fn lint_workspace(ws: &Workspace, cfg: &LintConfig) -> LintOutcome {
     let mut findings = rules::run_all(ws, cfg);
     let pragma_suppressed = apply_pragmas(ws, &mut findings);
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.col, a.rule).cmp(&(b.file.as_str(), b.line, b.col, b.rule))
     });
-    baseline.apply(&mut findings);
     LintOutcome {
         findings,
         files_scanned: ws.files.len(),

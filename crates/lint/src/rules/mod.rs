@@ -151,7 +151,7 @@ impl LintConfig {
 }
 
 /// Runs every rule over the workspace. Findings are unsorted and
-/// un-suppressed; the caller applies pragmas, ordering and the baseline.
+/// un-suppressed; the caller applies pragmas and ordering.
 pub fn run_all(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
     findings.extend(r1_unsafe::run(ws));

@@ -23,7 +23,6 @@ pub(super) fn run(ws: &Workspace) -> Vec<Finding> {
                     col: tok.col,
                     message: "`unsafe` in a workspace with none — use a safe std API instead"
                         .to_owned(),
-                    baselined: false,
                 });
             }
         }
@@ -36,7 +35,6 @@ pub(super) fn run(ws: &Workspace) -> Vec<Finding> {
                 message: "crate root is missing `#![forbid(unsafe_code)]` — every crate \
                           must lock unsafe out at the compiler level"
                     .to_owned(),
-                baselined: false,
             });
         }
     }

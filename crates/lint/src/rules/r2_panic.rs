@@ -54,7 +54,6 @@ pub(super) fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
                     line: tok.line,
                     col: tok.col,
                     message: format!("`{}` in panic-free non-test code{hint}", tok.text),
-                    baselined: false,
                 });
             } else if is_macro {
                 out.push(Finding {
@@ -66,7 +65,6 @@ pub(super) fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
                         "`{}!` in panic-free non-test code — return a typed error instead",
                         tok.text
                     ),
-                    baselined: false,
                 });
             }
         }

@@ -40,7 +40,6 @@ pub(super) fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
                                  module {} — import the declared constant instead",
                                 magic.content, magic.declaring_file
                             ),
-                            baselined: false,
                         });
                     }
                 }
@@ -60,7 +59,6 @@ pub(super) fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
                                  {} — import it instead",
                                 wc.name, wc.declaring_file
                             ),
-                            baselined: false,
                         });
                     }
                 }
@@ -80,7 +78,6 @@ pub(super) fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
                                  {} — there must be exactly one",
                                 reg.enum_name, reg.declaring_file
                             ),
-                            baselined: false,
                         });
                     }
                 }

@@ -64,7 +64,6 @@ pub(super) fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
                         variant.name,
                         missing.join(", ")
                     ),
-                    baselined: false,
                 });
             }
         }

@@ -83,7 +83,6 @@ pub(super) fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
                              `// locec-lint: allow(R5) — reason`",
                             t.text, tokens[i].line
                         ),
-                        baselined: false,
                     });
                 }
                 k += 1;

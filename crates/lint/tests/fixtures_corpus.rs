@@ -4,14 +4,13 @@
 //! Every fixture must trigger **exactly** its own rule — a fixture that
 //! trips a second rule means either the fixture or a rule has drifted.
 
-use locec_lint::{lint, Baseline, LintConfig, RuleId};
+use locec_lint::{lint, LintConfig, RuleId};
 use std::collections::BTreeMap;
 use std::path::Path;
 
 fn fixture_findings() -> BTreeMap<String, Vec<(RuleId, String)>> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let outcome =
-        lint(&root, &LintConfig::locec_defaults(), &Baseline::empty()).expect("fixture tree scans");
+    let outcome = lint(&root, &LintConfig::locec_defaults()).expect("fixture tree scans");
     let mut by_file: BTreeMap<String, Vec<(RuleId, String)>> = BTreeMap::new();
     for f in &outcome.findings {
         by_file
@@ -74,20 +73,4 @@ fn r4_finding_names_all_three_missing_legs() {
     assert!(msg.contains("decode arm"), "{msg}");
     assert!(msg.contains("encode use"), "{msg}");
     assert!(msg.contains("test mentioning it"), "{msg}");
-}
-
-#[test]
-fn baseline_absorbs_the_corpus_and_ratchets() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let cfg = LintConfig::locec_defaults();
-    // First pass: everything is new.
-    let first = lint(&root, &cfg, &Baseline::empty()).expect("fixture tree scans");
-    assert!(!first.is_clean());
-    // Baseline the corpus: the same scan is now clean, but every finding
-    // is still reported (as baselined) so the debt stays visible.
-    let baseline = Baseline::parse(&Baseline::render(&first.findings)).expect("roundtrips");
-    let second = lint(&root, &cfg, &baseline).expect("fixture tree scans");
-    assert!(second.is_clean());
-    assert_eq!(second.findings.len(), first.findings.len());
-    assert!(second.findings.iter().all(|f| f.baselined));
 }

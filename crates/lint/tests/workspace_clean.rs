@@ -1,9 +1,9 @@
 //! The acceptance gate, enforced from inside tier-1 `cargo test`: the
-//! real workspace must lint clean against an **empty** baseline. This is
-//! deliberately stronger than the CI job (which honors the committed
-//! baseline file) — the burn-down is done, and this test keeps it done.
+//! real workspace must lint clean — every finding is either fixed or
+//! excused in place by a justified pragma, exactly what the CI job and
+//! `locec lint` demand.
 
-use locec_lint::{lint, Baseline, LintConfig, RuleId};
+use locec_lint::{lint, LintConfig, RuleId};
 use std::path::Path;
 
 fn repo_root() -> &'static Path {
@@ -16,12 +16,7 @@ fn repo_root() -> &'static Path {
 
 #[test]
 fn workspace_lints_clean_with_an_empty_baseline() {
-    let outcome = lint(
-        repo_root(),
-        &LintConfig::locec_defaults(),
-        &Baseline::empty(),
-    )
-    .expect("workspace scans");
+    let outcome = lint(repo_root(), &LintConfig::locec_defaults()).expect("workspace scans");
     // A meaningful corpus actually got scanned (guards against the walker
     // silently skipping everything and vacuously passing).
     assert!(
@@ -29,7 +24,7 @@ fn workspace_lints_clean_with_an_empty_baseline() {
         "only {} files scanned — walker regression?",
         outcome.files_scanned
     );
-    let violations: Vec<String> = outcome.new_violations().map(|f| f.to_string()).collect();
+    let violations: Vec<String> = outcome.findings.iter().map(|f| f.to_string()).collect();
     assert!(
         violations.is_empty(),
         "workspace has lint violations:\n{}",
@@ -44,8 +39,7 @@ fn the_workspace_exercises_every_rule_id() {
     // rule that silently stopped matching would be invisible here. Guard
     // the other direction instead: each rule still *fires* on its fixture.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let outcome =
-        lint(&root, &LintConfig::locec_defaults(), &Baseline::empty()).expect("fixture tree scans");
+    let outcome = lint(&root, &LintConfig::locec_defaults()).expect("fixture tree scans");
     for rule in RuleId::all() {
         assert!(
             outcome.findings.iter().any(|f| f.rule == rule),

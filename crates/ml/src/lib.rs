@@ -8,7 +8,7 @@
 //! * a convolutional neural network toolkit for **CommCNN** (paper Fig. 8) —
 //!   [`tensor`] + [`nn`] provide NCHW tensors, Conv2D / MaxPool /
 //!   GlobalMaxPool / Dense / ReLU layers with manual backprop, softmax
-//!   cross-entropy, and SGD/Adam optimizers;
+//!   cross-entropy, and the Adam optimizer;
 //! * **XGBoost-style gradient-boosted trees** for LoCEC-XGB and the raw
 //!   XGBoost baseline — [`gbdt`] implements second-order boosting with exact
 //!   greedy splits, softmax multiclass objective and the leaf-value

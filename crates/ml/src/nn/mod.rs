@@ -2,7 +2,7 @@
 //!
 //! Exactly the toolkit CommCNN (paper Fig. 8) needs: stride-1 2-D
 //! convolutions with optional zero padding, 2×2 max pooling, global max
-//! pooling, dense layers, ReLU, softmax cross-entropy, and SGD/Adam.
+//! pooling, dense layers, ReLU, softmax cross-entropy, and Adam.
 //!
 //! The layer API splits inference from training:
 //!
@@ -22,11 +22,11 @@
 //! Data-dependent failures (mis-shaped inputs, a `backward` with no cached
 //! activations) surface as typed [`MlError`]s; constructor invariants that
 //! no runtime input can trigger remain assertions at construction time.
-//! Optimizers visit parameters in a deterministic order through
-//! [`Model::visit_params`], so their per-parameter state stays aligned
+//! [`Adam`] visits parameters in a deterministic order through
+//! [`Model::visit_params`], so its per-parameter state stays aligned
 //! across steps. The heavy layers (conv, dense) compute through
-//! [`crate::kernel`], which dispatches to the blocked-GEMM fast path or the
-//! preserved reference loops.
+//! [`crate::kernel`]'s blocked GEMM; its reference loops are a test
+//! oracle only.
 
 pub mod activation;
 pub mod conv;
@@ -39,7 +39,7 @@ pub use activation::Relu;
 pub use conv::Conv2d;
 pub use dense::{Dense, Flatten};
 pub use loss::SoftmaxCrossEntropy;
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use pool::{GlobalMaxPool2d, MaxPool2d};
 
 use crate::error::MlError;

@@ -1,72 +1,12 @@
-//! First-order optimizers.
+//! The first-order optimizer CommCNN trains with.
 //!
-//! Both visit parameters through [`Model::visit_params`]; Adam keeps
+//! Adam visits parameters through [`Model::visit_params`] and keeps
 //! per-parameter moment buffers aligned by visit order, so a model must
 //! always present its parameters in the same order (true for all layers in
 //! this crate).
 
 use super::Model;
 use crate::tensor::Tensor;
-
-/// Stochastic gradient descent with optional momentum and weight decay.
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 disables).
-    pub momentum: f32,
-    /// Decoupled L2 weight decay.
-    pub weight_decay: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update step using the gradients accumulated in `model`.
-    pub fn step<M: Model + ?Sized>(&mut self, model: &mut M) {
-        let mut idx = 0usize;
-        let lr = self.lr;
-        let momentum = self.momentum;
-        let wd = self.weight_decay;
-        let velocity = &mut self.velocity;
-        model.visit_params(&mut |value: &mut Tensor, grad: &mut Tensor| {
-            if velocity.len() <= idx {
-                velocity.push(vec![0.0; value.len()]);
-            }
-            let vel = &mut velocity[idx];
-            debug_assert_eq!(vel.len(), value.len(), "param order changed");
-            for ((v, g), m) in value
-                .data_mut()
-                .iter_mut()
-                .zip(grad.data())
-                .zip(vel.iter_mut())
-            {
-                let g = g + wd * *v;
-                *m = momentum * *m + g;
-                *v -= lr * *m;
-            }
-            idx += 1;
-        });
-    }
-}
 
 /// Adam (Kingma & Ba, 2015) with decoupled weight decay.
 pub struct Adam {
@@ -176,20 +116,6 @@ mod tests {
             stepper(&mut s);
         }
         s.value.data()[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let x = quadratic_steps(|s| opt.step(s), 100);
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let x = quadratic_steps(|s| opt.step(s), 200);
-        assert!((x - 3.0).abs() < 1e-2, "x = {x}");
     }
 
     #[test]

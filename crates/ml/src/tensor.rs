@@ -122,13 +122,6 @@ impl Tensor {
         self.data[self.idx4(n, c, h, w)]
     }
 
-    /// Mutable element at 4-D index.
-    #[inline]
-    pub fn at4_mut(&mut self, n: usize, c: usize, h: usize, w: usize) -> &mut f32 {
-        let idx = self.idx4(n, c, h, w);
-        &mut self.data[idx]
-    }
-
     /// Row `i` of a 2-D tensor.
     pub fn row(&self, i: usize) -> &[f32] {
         assert_eq!(self.shape.len(), 2);

@@ -477,11 +477,6 @@ impl Span {
             start: Instant::now(),
         }
     }
-
-    /// Elapsed nanoseconds so far (the span keeps running).
-    pub fn elapsed_nanos(&self) -> u64 {
-        saturating_nanos(self.start)
-    }
 }
 
 impl Drop for Span {

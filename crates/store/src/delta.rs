@@ -289,7 +289,7 @@ pub fn load_division_delta(path: &Path) -> Result<DivisionDelta, SnapshotError> 
 /// [`locec_core::phase1::divide`] of `graph`.
 pub fn apply_division_delta(
     graph: &locec_graph::CsrGraph,
-    base: &DivisionResult,
+    base: DivisionResult,
     delta: DivisionDelta,
     threads: usize,
 ) -> Result<DivisionResult, SnapshotError> {
@@ -429,8 +429,13 @@ mod tests {
         assert_eq!(loaded.dirty, dd.dirty);
         assert_eq!(loaded.communities.len(), dd.communities.len());
 
-        let spliced =
-            apply_division_delta(&applied.graph, &base_division, loaded, config.threads).unwrap();
+        let spliced = apply_division_delta(
+            &applied.graph,
+            base_division.clone(),
+            loaded,
+            config.threads,
+        )
+        .unwrap();
         let full = divide(&applied.graph, &config);
         let updated = divide_update(&applied.graph, &base_division, &dirty, &config);
         for reference in [&full, &updated] {
@@ -489,7 +494,7 @@ mod tests {
             dirty: dirty.clone(),
             communities: fresh.clone(),
         };
-        assert!(apply_division_delta(&applied.graph, &base_division, dd, 2).is_err());
+        assert!(apply_division_delta(&applied.graph, base_division.clone(), dd, 2).is_err());
 
         // A community whose member is not a neighbor of its ego in this
         // graph must be rejected before it can corrupt the membership walk.
@@ -516,6 +521,6 @@ mod tests {
             dirty: dirty2,
             communities,
         };
-        assert!(apply_division_delta(&applied.graph, &base_division, dd, 2).is_err());
+        assert!(apply_division_delta(&applied.graph, base_division, dd, 2).is_err());
     }
 }

@@ -360,11 +360,6 @@ impl<'g> IncrementalMerge<'g> {
         Ok(true)
     }
 
-    /// Egos covered by absorbed shards so far.
-    pub fn covered_egos(&self) -> u64 {
-        self.covered
-    }
-
     /// Duplicate shard deliveries dropped so far.
     pub fn duplicates_dropped(&self) -> u64 {
         self.duplicates

@@ -12,7 +12,7 @@ use crate::format::{Enc, Snapshot, SnapshotError, SnapshotKind, SnapshotWriter};
 use locec_core::phase2::CommunityClassifier;
 use locec_core::phase3::EdgeClassifier;
 use locec_core::{CommCnn, CommCnnConfig};
-use locec_ml::gbdt::{FlatNode, Gbdt, RegressionTree, FLAT_LEAF};
+use locec_ml::gbdt::{FlatNode, Gbdt, RegressionTree};
 use locec_ml::linear::LogisticRegression;
 use locec_ml::nn::{export_params, import_params};
 use locec_ml::Tensor;
@@ -285,12 +285,6 @@ fn read_gbdt_sections(snap: &Snapshot) -> Result<Gbdt, SnapshotError> {
         .collect::<Result<_, _>>()?;
     Gbdt::from_parts(trees, num_classes, num_features, learning_rate)
         .map_err(SnapshotError::Corrupt)
-}
-
-/// True if the flattened node marks a leaf (re-exported convenience for
-/// `inspect`-style tooling).
-pub fn flat_node_is_leaf(n: &FlatNode) -> bool {
-    n.feature == FLAT_LEAF
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ use locec::cluster::{
     WorkerMetrics, WorkerOptions, WorkerSpawn,
 };
 use locec::core::phase1::{
-    divide_egos, divide_range, splice_update_owned, update_prefers_full_divide, DivisionResult,
+    divide_egos, divide_range, splice_update, update_prefers_full_divide, DivisionResult,
 };
 use locec::core::phase2::CommunityClassifier;
 use locec::core::phase3::EdgeClassifier;
@@ -89,7 +89,7 @@ USAGE:
                   --reload-division FILE [--reload-world FILE] |
                   --edge U,V | --community-of N | --top-k N,K)
   locec inspect   FILE...
-  locec lint      [--root DIR] [--baseline FILE] [--json] [--write-baseline]
+  locec lint      [--root DIR] [--json]
   locec report-check FILE [--require SECTION[,SECTION...]]
 
 streaming updates: `evolve` records a timestamped edge-event stream against
@@ -130,10 +130,8 @@ With --connect the verb is a one-shot control/query client instead.
 lint: `lint` runs the workspace static-analysis pass (no-unsafe,
 panic-freedom, wire-constant single-declaration, registry exhaustiveness,
 lock-hygiene) over --root (default `.`) and exits non-zero on any finding
-not absorbed by --baseline (default `ROOT/lint-baseline.txt`, missing file
-= empty). --json emits the machine-readable report for CI;
---write-baseline rewrites the baseline to the current findings instead of
-failing.
+not excused in place by a justified `// locec-lint: allow(Rn) — reason`
+pragma. --json emits the machine-readable report for CI.
 
 config (all stages after synth; defaults in parentheses):
   --preset fast|default   LocecConfig preset (fast)
@@ -355,7 +353,6 @@ const SWITCHES: &[&str] = &[
     "--status",
     "--stop",
     "--json",
-    "--write-baseline",
     "--log-json",
 ];
 
@@ -829,12 +826,12 @@ fn cmd_divide_update(
             dd.communities.len(),
             out_delta.display()
         );
-        locec::store::apply_division_delta(&applied.graph, &base_division, dd, config.threads)
+        locec::store::apply_division_delta(&applied.graph, base_division, dd, config.threads)
             .map_err(store_err)?
     } else {
         // The base division is never reused: the owned splice moves clean
         // communities instead of cloning them.
-        splice_update_owned(&applied.graph, base_division, &dirty, fresh, config.threads)
+        splice_update(&applied.graph, base_division, &dirty, fresh, config.threads)
     };
     let dt = t0.elapsed();
     phase1_section(report, "update-incremental", dirty.len() as u64, dt);
@@ -1017,11 +1014,11 @@ fn cmd_worker(p: &Parsed, run_report: &mut RunReport) -> Result<(), String> {
         secret: p.str("secret").map(str::to_owned),
         retry,
     };
-    let report = run_worker(addr, &opts).map_err(|e| e.to_string())?;
-    run_report.set_section("worker", worker_metrics_obj(&report.metrics));
+    let metrics = run_worker(addr, &opts).map_err(|e| e.to_string())?;
+    run_report.set_section("worker", worker_metrics_obj(&metrics));
     println!(
         "worker: completed {} leases ({} egos divided, {} reconnects, {} faults fired)",
-        report.leases_completed, report.egos_divided, report.reconnects, report.faults_fired
+        metrics.leases_completed, metrics.egos_divided, metrics.reconnects, metrics.faults_fired
     );
     Ok(())
 }
@@ -1602,67 +1599,34 @@ fn cmd_inspect(p: &Parsed) -> Result<(), String> {
 }
 
 fn cmd_lint(p: &Parsed) -> Result<(), String> {
-    p.check_args(
-        &["root", "baseline"],
-        &["--json", "--write-baseline"],
-        false,
-    )?;
+    p.check_args(&["root"], &["--json"], false)?;
     let root = p
         .str("root")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("."));
-    let baseline_path = p
-        .str("baseline")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| root.join("lint-baseline.txt"));
-    let baseline = if p.has("--write-baseline") || !baseline_path.exists() {
-        locec::lint::Baseline::empty()
-    } else {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("{}: {e}", baseline_path.display()))?;
-        locec::lint::Baseline::parse(&text)
-            .map_err(|e| format!("{}: {e}", baseline_path.display()))?
-    };
     let cfg = locec::lint::LintConfig::locec_defaults();
-    let outcome = locec::lint::lint(&root, &cfg, &baseline)
+    let outcome = locec::lint::lint(&root, &cfg)
         .map_err(|e| format!("lint: scanning {}: {e}", root.display()))?;
-
-    if p.has("--write-baseline") {
-        let rendered = locec::lint::Baseline::render(&outcome.findings);
-        std::fs::write(&baseline_path, rendered)
-            .map_err(|e| format!("{}: {e}", baseline_path.display()))?;
-        println!(
-            "lint: wrote baseline {} ({} finding(s) over {} file(s))",
-            baseline_path.display(),
-            outcome.findings.len(),
-            outcome.files_scanned
-        );
-        return Ok(());
-    }
 
     if p.has("--json") {
         println!("{}", outcome.to_json());
     } else {
         for f in &outcome.findings {
-            if f.baselined {
-                println!("{f} [baselined]");
-            } else {
-                println!("{f}");
-            }
+            println!("{f}");
         }
-        let new = outcome.new_violations().count();
-        let baselined = outcome.findings.len() - new;
         println!(
-            "lint: {} file(s) scanned, {} new violation(s), {} baselined, {} pragma-suppressed",
-            outcome.files_scanned, new, baselined, outcome.pragma_suppressed
+            "lint: {} file(s) scanned, {} violation(s), {} pragma-suppressed",
+            outcome.files_scanned,
+            outcome.findings.len(),
+            outcome.pragma_suppressed
         );
     }
     if outcome.is_clean() {
         Ok(())
     } else {
         Err(format!(
-            "lint: {} new violation(s) not covered by the baseline",
-            outcome.new_violations().count()
+            "lint: {} violation(s) not excused by a justified pragma",
+            outcome.findings.len()
         ))
     }
 }

@@ -285,7 +285,7 @@ fn incremental_update_cli_matches_full_divide_byte_for_byte() {
     // The division delta splices to the same division in-process.
     let base = load_division(&dir.join("division.lsnap")).unwrap();
     let dd = locec::store::load_division_delta(&dir.join("ddelta.lsnap")).unwrap();
-    let spliced = locec::store::apply_division_delta(&world2.graph, &base, dd, 2).unwrap();
+    let spliced = locec::store::apply_division_delta(&world2.graph, base, dd, 2).unwrap();
     let loaded = load_division(&dir.join("division2.lsnap")).unwrap();
     assert_eq!(spliced.membership_table(), loaded.membership_table());
 
@@ -571,6 +571,104 @@ fn aggregate_refuses_a_division_of_another_world() {
         "{stderr}"
     );
     assert!(!dir.join("agg.lsnap").exists(), "nothing is written");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn classify_refuses_a_division_with_an_uncovered_slot() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("locec_cli_tampered_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    run(
+        &dir,
+        &[
+            "synth",
+            "--preset",
+            "tiny",
+            "--seed",
+            "5",
+            "--out",
+            "world.lsnap",
+        ],
+    );
+    run(
+        &dir,
+        &[
+            "divide",
+            "--world",
+            "world.lsnap",
+            "--out",
+            "division.lsnap",
+        ],
+    );
+    run(
+        &dir,
+        &[
+            "aggregate",
+            "--world",
+            "world.lsnap",
+            "--division",
+            "division.lsnap",
+            "--out-agg",
+            "agg.lsnap",
+            "--out-model",
+            "community.lsnap",
+        ],
+    );
+    run(
+        &dir,
+        &[
+            "train",
+            "--world",
+            "world.lsnap",
+            "--division",
+            "division.lsnap",
+            "--agg",
+            "agg.lsnap",
+            "--out",
+            "edge.lsnap",
+        ],
+    );
+
+    // A division whose CRCs are valid and whose table has the graph's
+    // length, but with one slot uncovered: the snapshot loads, and without
+    // the exact check `classify` would panic on the uncovered edge.
+    let world = StoredWorld::load(&dir.join("world.lsnap")).unwrap();
+    let division = load_division(&dir.join("division.lsnap")).unwrap();
+    let mut membership = division.membership_table().to_vec();
+    membership[0] = u32::MAX;
+    let tampered =
+        locec::core::phase1::DivisionResult::from_raw_parts(division.communities, membership)
+            .unwrap();
+    locec::store::save_division(&dir.join("tampered.lsnap"), &world.graph, &tampered).unwrap();
+    load_division(&dir.join("tampered.lsnap")).expect("the tampered snapshot loads");
+
+    let out = Command::new(bin())
+        .current_dir(&dir)
+        .args([
+            "classify",
+            "--world",
+            "world.lsnap",
+            "--division",
+            "tampered.lsnap",
+            "--agg",
+            "agg.lsnap",
+            "--model",
+            "edge.lsnap",
+            "--out",
+            "labels.lsnap",
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("division does not match the graph"),
+        "{stderr}"
+    );
+    assert!(!dir.join("labels.lsnap").exists(), "nothing is written");
 
     std::fs::remove_dir_all(&dir).ok();
 }
