@@ -213,17 +213,9 @@ pub fn economix_predict(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::split_labels;
     use locec_ml::metrics::evaluate;
     use locec_synth::{Scenario, SynthConfig};
-
-    fn split_labels(
-        s: &Scenario,
-        train_fraction: f64,
-    ) -> (Vec<(EdgeId, RelationType)>, Vec<(EdgeId, RelationType)>) {
-        let labeled = s.dataset().labeled_edges_sorted();
-        let cut = (labeled.len() as f64 * train_fraction) as usize;
-        (labeled[..cut].to_vec(), labeled[cut..].to_vec())
-    }
 
     #[test]
     fn beats_chance_on_tiny_world() {

@@ -25,3 +25,16 @@ pub mod xgb_edge;
 pub use economix::{economix_predict, EconomixConfig};
 pub use probwp::{probwp_predict, ProbWpConfig};
 pub use xgb_edge::{xgb_edge_predict, XgbEdgeConfig};
+
+/// Labelled edges, each with its relation type.
+#[cfg(test)]
+type LabeledEdges = Vec<(locec_graph::EdgeId, locec_synth::types::RelationType)>;
+
+/// The baselines' tests' split: the first `train_fraction` of a scenario's
+/// labelled edges, in edge order, for training and the rest for testing.
+#[cfg(test)]
+fn split_labels(s: &locec_synth::Scenario, train_fraction: f64) -> (LabeledEdges, LabeledEdges) {
+    let labeled = s.dataset().labeled_edges_sorted();
+    let cut = (labeled.len() as f64 * train_fraction) as usize;
+    (labeled[..cut].to_vec(), labeled[cut..].to_vec())
+}

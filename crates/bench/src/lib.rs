@@ -310,7 +310,7 @@ mod tests {
             ["table4", "fig2"]
         );
         for bad in [&["fig1"][..], &["fig2", "Table4"], &["--all"], &[]] {
-            let message = select(bad).err().expect("rejected");
+            let message = select(bad).expect_err("rejected");
             assert!(
                 message.contains("all, list") && message.contains("fig14|table1|table2"),
                 "{bad:?}: {message}"

@@ -236,7 +236,8 @@ enum Event {
         id: u64,
         busy: bool,
         completed: u64,
-        metrics: WorkerMetrics,
+        /// Boxed: the metrics block is several times the other variants.
+        metrics: Box<WorkerMetrics>,
     },
     ResultIncoming {
         id: u64,
@@ -573,7 +574,7 @@ impl Coordinator {
                             if let Some(d) = diag.get_mut(&id) {
                                 d.last_heartbeat = Instant::now();
                                 d.leases_completed = completed;
-                                d.metrics = metrics;
+                                d.metrics = *metrics;
                             }
                             if lost > 0 {
                                 locec_obs::log::warn(
@@ -1132,11 +1133,7 @@ fn reader_thread(
         return;
     }
 
-    loop {
-        let header = match read_header(&mut stream) {
-            Ok(h) => h,
-            Err(_) => break,
-        };
+    while let Ok(header) = read_header(&mut stream) {
         match header.frame_type {
             FrameType::Heartbeat => {
                 let Ok(payload) = read_payload(&mut stream, &header) else {
@@ -1151,7 +1148,7 @@ fn reader_thread(
                         id,
                         busy: info.busy,
                         completed: info.leases_completed,
-                        metrics: info.metrics,
+                        metrics: Box::new(info.metrics),
                     })
                     .is_err()
                 {

@@ -18,13 +18,37 @@
 //! Inference is immutable: the layer stacks compute through
 //! `forward(&self, …, &mut Scratch)`, so a trained network is shared
 //! across threads, each with its own scratch arena
-//! ([`CommCnn::predict_proba_chunk`]). Training keeps the `&mut self` path
-//! that caches activations for backward.
+//! ([`CommCnn::predict_proba_chunk`]).
+//!
+//! Training runs on `threads` threads ([`CommCnn::train_threaded`]). Each
+//! mini-batch splits into fixed 16-sample shards (`TRAIN_GRAIN`); every shard
+//! runs the forward and backward passes of its own replica of the three
+//! branches, whose parameters are copied from the network at each step,
+//! with one [`run_chunked`] call for the forwards and one for the
+//! backwards. The head, the loss and Adam run once per step over the whole
+//! batch. Why the result is bitwise one thread's, and one unsharded
+//! backward's:
+//!
+//! * the branches treat samples independently — a batched conv forward
+//!   folds each output element on its own, pooling and ReLU are
+//!   per-sample — so a shard's outputs are the rows the whole batch would
+//!   give;
+//! * the head's backward over the whole batch hands each shard its rows of
+//!   the gradient, and a conv backward's ∂input is per-sample too;
+//! * a conv's parameter gradient is a per-sample term (`gb += ` a plane
+//!   sum, `gw += ` a tile folded from zero) added in sample order. Each
+//!   replica's convs keep those terms as records, and the network folds
+//!   the shards' records shard after shard through
+//!   [`Layer::fold_shard`] — the same additions in the same order.
+//!
+//! Shard boundaries depend on the batch alone, so every semantic `ml.*`
+//! counter is the same at any thread count too; `train` is the one-thread
+//! call of the same code.
 
 use locec_ml::kernel;
 use locec_ml::nn::{
-    Adam, Conv2d, Dense, Flatten, GlobalMaxPool2d, Layer, MaxPool2d, Model, Relu, Sequential,
-    SoftmaxCrossEntropy,
+    export_params, import_params, Adam, Conv2d, Dense, Flatten, GlobalMaxPool2d, Layer, MaxPool2d,
+    Model, Relu, Sequential, SoftmaxCrossEntropy,
 };
 use locec_ml::{Scratch, Tensor};
 use locec_runtime::run_chunked;
@@ -32,6 +56,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::cell::RefCell;
+use std::sync::Mutex;
 
 /// Samples per chunk during batch inference. Fixed (not derived from the
 /// thread count) so the chunk layout — and therefore every semantic `ml.*`
@@ -45,6 +70,11 @@ const INFER_GRAIN: usize = 32;
 /// Upper bound on the NCHW batch assembled at once inside a chunk, keeping
 /// peak activation memory flat for large divisions.
 const INFER_BATCH: usize = 128;
+
+/// Samples per training shard, the training counterpart of
+/// [`INFER_GRAIN`]: fixed, so a mini-batch splits into the same shards at
+/// every thread count. A 32-sample batch is two shards.
+const TRAIN_GRAIN: usize = 16;
 
 /// Hyper-parameters of [`CommCnn`].
 #[derive(Clone, Debug)]
@@ -102,11 +132,120 @@ impl CommCnnConfig {
     }
 }
 
-/// The CommCNN model.
-pub struct CommCnn {
+/// The three convolution branches of Fig. 8 — every layer that reads the
+/// input matrix. Their outputs, side by side, are the head's input.
+struct Branches {
     square: Sequential,
     wide: Sequential,
     long: Sequential,
+}
+
+impl Branches {
+    fn new(k: usize, cols: usize, config: &CommCnnConfig, rng: &mut StdRng) -> Self {
+        let (c1, (c2, c3)) = (config.square_channels, config.module_channels);
+        let square = Sequential::new()
+            .push(Conv2d::square3x3(1, c1, rng))
+            .push(Relu::new())
+            // Square Convolution Module #1
+            .push(Conv2d::square3x3(c1, c2, rng))
+            .push(Relu::new())
+            .push(MaxPool2d::new(2, 2))
+            // Square Convolution Module #2
+            .push(Conv2d::square3x3(c2, c3, rng))
+            .push(Relu::new())
+            .push(MaxPool2d::new(2, 2))
+            .push(Flatten::new());
+
+        let cb = config.branch_channels;
+        let wide = Sequential::new()
+            .push(Conv2d::new(1, cb, 1, cols, rng))
+            .push(Relu::new())
+            .push(Conv2d::new(cb, cb, 1, 1, rng))
+            .push(Relu::new())
+            .push(GlobalMaxPool2d::new())
+            .push(Flatten::new());
+        let long = Sequential::new()
+            .push(Conv2d::new(1, cb, k, 1, rng))
+            .push(Relu::new())
+            .push(Conv2d::new(cb, cb, 1, 1, rng))
+            .push(Relu::new())
+            .push(GlobalMaxPool2d::new())
+            .push(Flatten::new());
+        Branches { square, wide, long }
+    }
+
+    /// Immutable forward: the three outputs side by side, `(N, concat)`.
+    ///
+    /// Shape errors are unreachable here and in the training passes below:
+    /// `batch_tensor` already asserted the input geometry, so any `MlError`
+    /// would be a construction bug.
+    fn forward(&self, batch: &Tensor, scratch: &mut Scratch) -> Tensor {
+        let sq = self.square.forward(batch, scratch).expect("square branch");
+        let wd = self.wide.forward(batch, scratch).expect("wide branch");
+        let lg = self.long.forward(batch, scratch).expect("long branch");
+        concat_cols(&[&sq, &wd, &lg])
+    }
+
+    /// Training-mode forward (caches activations for backward).
+    fn forward_train(&mut self, batch: &Tensor, scratch: &mut Scratch) -> Tensor {
+        let sq = self
+            .square
+            .forward_train(batch, scratch)
+            .expect("square branch");
+        let wd = self
+            .wide
+            .forward_train(batch, scratch)
+            .expect("wide branch");
+        let lg = self
+            .long
+            .forward_train(batch, scratch)
+            .expect("long branch");
+        concat_cols(&[&sq, &wd, &lg])
+    }
+
+    /// Backward from the gradient of the concatenated outputs, split at
+    /// `widths`.
+    fn backward(&mut self, grad: &Tensor, widths: &[usize; 3], scratch: &mut Scratch) {
+        let parts = split_cols(grad, widths);
+        // The branches' input is data, not parameters: nothing reads its
+        // gradient, so their first convolutions skip computing it.
+        self.square
+            .backward_params(&parts[0], scratch)
+            .expect("square backward");
+        self.wide
+            .backward_params(&parts[1], scratch)
+            .expect("wide backward");
+        self.long
+            .backward_params(&parts[2], scratch)
+            .expect("long backward");
+    }
+
+    /// Folds a replica's per-sample gradient records into these branches.
+    fn fold_shard(&mut self, shard: &Branches) {
+        self.square.fold_shard(&shard.square).expect("square fold");
+        self.wide.fold_shard(&shard.wide).expect("wide fold");
+        self.long.fold_shard(&shard.long).expect("long fold");
+    }
+}
+
+impl Model for Branches {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+        Layer::visit_params(&mut self.square, f);
+        Layer::visit_params(&mut self.wide, f);
+        Layer::visit_params(&mut self.long, f);
+    }
+}
+
+/// One training shard: a replica of the branches and the scratch arena
+/// its passes run in, both kept across steps.
+struct Shard {
+    branches: Branches,
+    scratch: Scratch,
+}
+
+/// The CommCNN model.
+pub struct CommCnn {
+    branches: Branches,
     head: Sequential,
     k: usize,
     cols: usize,
@@ -122,39 +261,11 @@ impl CommCnn {
     pub fn new(k: usize, cols: usize, num_classes: usize, config: &CommCnnConfig) -> Self {
         assert!(k >= 4 && cols >= 4, "need k ≥ 4 and cols ≥ 4 for pooling");
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let (c1, (c2, c3)) = (config.square_channels, config.module_channels);
-
-        let square = Sequential::new()
-            .push(Conv2d::square3x3(1, c1, &mut rng))
-            .push(Relu::new())
-            // Square Convolution Module #1
-            .push(Conv2d::square3x3(c1, c2, &mut rng))
-            .push(Relu::new())
-            .push(MaxPool2d::new(2, 2))
-            // Square Convolution Module #2
-            .push(Conv2d::square3x3(c2, c3, &mut rng))
-            .push(Relu::new())
-            .push(MaxPool2d::new(2, 2))
-            .push(Flatten::new());
-        let square_dim = c3 * (k / 2 / 2) * (cols / 2 / 2);
+        let branches = Branches::new(k, cols, config, &mut rng);
+        let square_dim = config.module_channels.1 * (k / 2 / 2) * (cols / 2 / 2);
         assert!(square_dim > 0, "input too small for two 2x2 pools");
 
         let cb = config.branch_channels;
-        let wide = Sequential::new()
-            .push(Conv2d::new(1, cb, 1, cols, &mut rng))
-            .push(Relu::new())
-            .push(Conv2d::new(cb, cb, 1, 1, &mut rng))
-            .push(Relu::new())
-            .push(GlobalMaxPool2d::new())
-            .push(Flatten::new());
-        let long = Sequential::new()
-            .push(Conv2d::new(1, cb, k, 1, &mut rng))
-            .push(Relu::new())
-            .push(Conv2d::new(cb, cb, 1, 1, &mut rng))
-            .push(Relu::new())
-            .push(GlobalMaxPool2d::new())
-            .push(Flatten::new());
-
         let concat_dim = square_dim + 2 * cb;
         let head = Sequential::new()
             .push(Dense::new(concat_dim, config.hidden, &mut rng))
@@ -162,9 +273,7 @@ impl CommCnn {
             .push(Dense::new(config.hidden, num_classes, &mut rng));
 
         CommCnn {
-            square,
-            wide,
-            long,
+            branches,
             head,
             k,
             cols,
@@ -206,86 +315,103 @@ impl CommCnn {
     }
 
     /// Immutable forward pass producing `(N, num_classes)` logits.
-    ///
-    /// Shape errors are unreachable here: `batch_tensor` already asserted
-    /// the input geometry, so any `MlError` would be a construction bug.
     fn forward_frozen(&self, batch: &Tensor, scratch: &mut Scratch) -> Tensor {
-        let sq = self.square.forward(batch, scratch).expect("square branch");
-        let wd = self.wide.forward(batch, scratch).expect("wide branch");
-        let lg = self.long.forward(batch, scratch).expect("long branch");
-        let concat = concat_cols(&[&sq, &wd, &lg]);
-        self.head.forward(&concat, scratch).expect("head")
+        let features = self.branches.forward(batch, scratch);
+        self.head.forward(&features, scratch).expect("head")
     }
 
-    /// Training-mode forward pass (caches activations for backward).
-    fn forward_train(&mut self, batch: &Tensor, scratch: &mut Scratch) -> Tensor {
-        let sq = self
-            .square
-            .forward_train(batch, scratch)
-            .expect("square branch");
-        let wd = self
-            .wide
-            .forward_train(batch, scratch)
-            .expect("wide branch");
-        let lg = self
-            .long
-            .forward_train(batch, scratch)
-            .expect("long branch");
-        let concat = concat_cols(&[&sq, &wd, &lg]);
-        self.head.forward_train(&concat, scratch).expect("head")
+    /// A fresh training shard. Its replica's initial weights are never
+    /// read: every step first copies this network's parameters into it.
+    fn shard(&self) -> Shard {
+        let mut rng = StdRng::seed_from_u64(0);
+        Shard {
+            branches: Branches::new(self.k, self.cols, &self.config, &mut rng),
+            scratch: Scratch::new(),
+        }
     }
 
-    /// Backward pass from logit gradients.
-    fn backward(&mut self, grad_logits: &Tensor, scratch: &mut Scratch) {
-        let grad_concat = self
-            .head
-            .backward(grad_logits, scratch)
-            .expect("head backward");
-        let parts = split_cols(
-            &grad_concat,
-            &[self.square_dim, self.branch_dim, self.branch_dim],
-        );
-        // The branches' input is data, not parameters: nothing reads its
-        // gradient, so their first convolutions skip computing it.
-        self.square
-            .backward_params(&parts[0], scratch)
-            .expect("square backward");
-        self.wide
-            .backward_params(&parts[1], scratch)
-            .expect("wide backward");
-        self.long
-            .backward_params(&parts[2], scratch)
-            .expect("long backward");
-    }
-
-    /// Trains on feature matrices with labels; returns the final epoch's
-    /// mean loss.
+    /// Trains on feature matrices with labels on one thread; returns the
+    /// final epoch's mean loss. The same as
+    /// [`CommCnn::train_threaded`]`(…, 1)`.
     pub fn train(&mut self, matrices: &[Tensor], labels: &[usize]) -> f32 {
+        self.train_threaded(matrices, labels, 1)
+    }
+
+    /// Trains on feature matrices with labels, each mini-batch's
+    /// 16-sample shards fanned out over `threads` threads (see
+    /// the module docs); returns the final epoch's mean loss. The trained
+    /// parameters are bitwise the same at every thread count.
+    pub fn train_threaded(&mut self, matrices: &[Tensor], labels: &[usize], threads: usize) -> f32 {
         assert_eq!(matrices.len(), labels.len());
         assert!(!matrices.is_empty(), "empty training set");
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(1));
         let mut opt = Adam::new(self.config.learning_rate);
         let mut order: Vec<usize> = (0..matrices.len()).collect();
         let bs = self.config.batch_size.max(1);
-        let mut scratch = Scratch::new();
+        let widths = [self.square_dim, self.branch_dim, self.branch_dim];
+        let mut shards: Vec<Mutex<Shard>> = (0..bs.div_ceil(TRAIN_GRAIN))
+            .map(|_| Mutex::new(self.shard()))
+            .collect();
+        let mut head_scratch = Scratch::new();
 
         let mut epoch_loss = f32::INFINITY;
         for _ in 0..self.config.epochs {
             order.shuffle(&mut rng);
             let mut total = 0.0f32;
             let mut batches = 0usize;
-            for chunk in order.chunks(bs) {
-                let refs: Vec<&Tensor> = chunk.iter().map(|&i| &matrices[i]).collect();
-                let batch = self.batch_tensor(&refs);
-                let y: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-
+            for batch in order.chunks(bs) {
                 self.zero_grad();
-                let logits = self.forward_train(&batch, &mut scratch);
+                let params = export_params(&mut self.branches);
+                let num_shards = batch.len().div_ceil(TRAIN_GRAIN);
+                let shard_rows =
+                    |s: usize| s * TRAIN_GRAIN..((s + 1) * TRAIN_GRAIN).min(batch.len());
+                // A panicking shard unwinds out of `run_chunked` and this
+                // call, so no poisoned lock is ever taken again.
+                let lock = |s: usize| shards[s].lock().expect("shard lock poisoned");
+
+                let this = &*self;
+                let features = run_chunked(num_shards, threads, 1, |range| {
+                    range
+                        .map(|s| {
+                            let mut shard = lock(s);
+                            let shard = &mut *shard;
+                            import_params(&mut shard.branches, &params).expect("replica");
+                            shard.branches.zero_grad();
+                            let refs: Vec<&Tensor> =
+                                batch[shard_rows(s)].iter().map(|&i| &matrices[i]).collect();
+                            let x = this.batch_tensor(&refs);
+                            shard.branches.forward_train(&x, &mut shard.scratch)
+                        })
+                        .collect::<Vec<_>>()
+                });
+                let features = stack_rows(features.iter().flatten());
+
+                let logits = self
+                    .head
+                    .forward_train(&features, &mut head_scratch)
+                    .expect("head");
+                let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
                 let (loss, probs) = SoftmaxCrossEntropy::loss(&logits, &y).expect("loss");
                 let grad = SoftmaxCrossEntropy::grad(&probs, &y).expect("loss grad");
-                self.backward(&grad, &mut scratch);
+                let grad_features = self
+                    .head
+                    .backward(&grad, &mut head_scratch)
+                    .expect("head backward");
+
+                run_chunked(num_shards, threads, 1, |range| {
+                    for s in range {
+                        let mut shard = lock(s);
+                        let shard = &mut *shard;
+                        let grad = row_block(&grad_features, shard_rows(s));
+                        shard.branches.backward(&grad, &widths, &mut shard.scratch);
+                    }
+                });
+                for shard in &mut shards[..num_shards] {
+                    let shard = shard.get_mut().expect("shard lock poisoned");
+                    self.branches.fold_shard(&shard.branches);
+                }
                 opt.step(self);
-                kernel::record_train_samples(chunk.len());
+                kernel::record_train_samples(batch.len());
 
                 total += loss;
                 batches += 1;
@@ -355,11 +481,27 @@ impl CommCnn {
 
 impl Model for CommCnn {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        Layer::visit_params(&mut self.square, f);
-        Layer::visit_params(&mut self.wide, f);
-        Layer::visit_params(&mut self.long, f);
+        Model::visit_params(&mut self.branches, f);
         Layer::visit_params(&mut self.head, f);
     }
+}
+
+/// Stacks 2-D tensors of equal width along rows, in order.
+fn stack_rows<'a>(parts: impl Iterator<Item = &'a Tensor>) -> Tensor {
+    let mut width = 0;
+    let mut data = Vec::new();
+    for p in parts {
+        width = p.shape()[1];
+        data.extend_from_slice(p.data());
+    }
+    Tensor::from_vec(&[data.len() / width, width], data)
+}
+
+/// Rows `rows` of a 2-D tensor, as a tensor of their own.
+fn row_block(t: &Tensor, rows: std::ops::Range<usize>) -> Tensor {
+    let width = t.shape()[1];
+    let data = t.data()[rows.start * width..rows.end * width].to_vec();
+    Tensor::from_vec(&[rows.len(), width], data)
 }
 
 /// Concatenates 2-D tensors along columns (all must share the row count).
@@ -486,16 +628,18 @@ mod tests {
         c1.train(&xs, &ys);
         c2.train(&xs, &ys);
         assert_eq!(c1.predict_proba(&xs[0]), c2.predict_proba(&xs[0]));
-        // Frozen inference must agree with what training-mode forward saw.
-        let logits_frozen = {
-            let mut s = Scratch::new();
-            let batch = c1.batch_tensor(&[&xs[0]]);
-            c1.forward_frozen(&batch, &mut s)
-        };
+        // Frozen inference must agree with what a training shard's forward
+        // saw, once the shard holds the network's parameters.
+        let batch = c1.batch_tensor(&[&xs[0]]);
+        let logits_frozen = c1.forward_frozen(&batch, &mut Scratch::new());
         let logits_train = {
-            let mut s = Scratch::new();
-            let batch = c1.batch_tensor(&[&xs[0]]);
-            c1.forward_train(&batch, &mut s)
+            let mut shard = c1.shard();
+            let params = export_params(&mut c1.branches);
+            import_params(&mut shard.branches, &params).unwrap();
+            let features = shard.branches.forward_train(&batch, &mut shard.scratch);
+            c1.head
+                .forward_train(&features, &mut shard.scratch)
+                .unwrap()
         };
         assert_eq!(logits_frozen.data(), logits_train.data());
     }

@@ -200,7 +200,7 @@ impl CommunityClassifier {
                 let matrices = inputs(division, &ids, config.threads, |c| matrix(data, c, config));
                 let mut cnn =
                     CommCnn::new(config.k, FEATURE_COLS, RelationType::COUNT, &config.commcnn);
-                cnn.train(&matrices, &labels.collect::<Vec<_>>());
+                cnn.train_threaded(&matrices, &labels.collect::<Vec<_>>(), config.threads);
                 CommunityClassifier::Cnn(Box::new(cnn))
             }
         }

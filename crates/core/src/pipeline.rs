@@ -179,12 +179,15 @@ impl LocecPipeline {
     }
 }
 
+/// A `(train, test)` split.
+pub type Split<T> = (Vec<T>, Vec<T>);
+
 /// Seeded shuffle split of labeled edges.
 pub fn split_edges(
     labeled: &[(EdgeId, RelationType)],
     train_fraction: f64,
     seed: u64,
-) -> (Vec<(EdgeId, RelationType)>, Vec<(EdgeId, RelationType)>) {
+) -> Split<(EdgeId, RelationType)> {
     seeded_split(labeled, train_fraction, seed ^ 0xE0E0)
 }
 
@@ -196,13 +199,13 @@ pub fn split_communities(
     labeled: &[(u32, RelationType)],
     train_fraction: f64,
     seed: u64,
-) -> (Vec<(u32, RelationType)>, Vec<(u32, RelationType)>) {
+) -> Split<(u32, RelationType)> {
     seeded_split(labeled, train_fraction, seed ^ 0xC0C0)
 }
 
 /// Shuffles `labeled` with `seed` and cuts it at `train_fraction`, keeping
 /// at least one item on each side when there are two or more.
-fn seeded_split<T: Copy>(labeled: &[T], train_fraction: f64, seed: u64) -> (Vec<T>, Vec<T>) {
+fn seeded_split<T: Copy>(labeled: &[T], train_fraction: f64, seed: u64) -> Split<T> {
     let mut idx: Vec<usize> = (0..labeled.len()).collect();
     idx.shuffle(&mut StdRng::seed_from_u64(seed));
     let mut cut = (labeled.len() as f64 * train_fraction).round() as usize;

@@ -1,23 +1,29 @@
-//! Thread-count invariance of the semantic ML counters.
+//! Thread-count invariance of CommCNN training, inference and the
+//! semantic ML counters.
 //!
-//! CommCNN batch inference fans out over the worker pool, but the chunk
-//! layout is a function of the input length and a constant grain — never
-//! of the pool size. So the *semantic* ML counters (samples inferred,
-//! GEMM calls, im2col lowerings) must be bit-identical whether the pool
-//! runs 1, 2 or 8 threads, and so must every probability row. The timing
-//! counters (`ml.gemm_nanos`, `ml.im2col_nanos`) are scheduling-class and
-//! deliberately excluded.
+//! CommCNN batch inference fans out over the worker pool, and training
+//! fans each mini-batch's shards out over it, but the chunk and shard
+//! layouts are functions of the input length and a constant grain — never
+//! of the pool size. So the *semantic* ML counters (samples trained or
+//! inferred, GEMM calls, im2col lowerings) must be bit-identical whether
+//! the pool runs 1, 2 or 8 threads, and so must every probability row and
+//! every trained parameter. The timing counters (`ml.gemm_nanos`,
+//! `ml.im2col_nanos`) are scheduling-class and deliberately excluded.
 //!
 //! Deltas are measured against the process-global recorder, so this file
 //! holds exactly one `#[test]` — a sibling test in the same binary would
 //! race the counters.
 
 use locec_core::commcnn::{CommCnn, CommCnnConfig};
+use locec_ml::nn::export_params;
 use locec_ml::Tensor;
 use locec_obs::Recorder;
 
 /// Counters whose totals may not depend on parallelism.
 const SEMANTIC: &[&str] = &["ml.infer_samples", "ml.gemm_calls", "ml.im2col_calls"];
+
+/// The same for training.
+const SEMANTIC_TRAIN: &[&str] = &["ml.train_samples", "ml.gemm_calls", "ml.im2col_calls"];
 
 #[test]
 fn ml_semantic_counters_are_thread_count_invariant() {
@@ -46,6 +52,46 @@ fn ml_semantic_counters_are_thread_count_invariant() {
             .map(|name| after.counter(name) - before.counter(name))
             .collect();
         per_pool.push((threads, deltas, probs));
+    }
+
+    // Training: 107 samples in batches of 32 are three batches of two
+    // 16-sample shards and a ragged batch of 11 — one shard.
+    let labels: Vec<usize> = (0..107).map(|i| i % 3).collect();
+    let config = CommCnnConfig {
+        epochs: 3,
+        ..CommCnnConfig::fast()
+    };
+    let mut trained: Vec<(usize, Vec<u64>, Vec<f32>)> = Vec::new();
+    for threads in [1usize, 2, 8] {
+        let mut model = CommCnn::new(K, COLS, 3, &config);
+        let before = recorder.snapshot();
+        model.train_threaded(&matrices[..107], &labels, threads);
+        let after = recorder.snapshot();
+        let deltas = SEMANTIC_TRAIN
+            .iter()
+            .map(|name| after.counter(name) - before.counter(name))
+            .collect();
+        trained.push((threads, deltas, export_params(&mut model)));
+    }
+    let (_, base_deltas, base_params) = &trained[0];
+    assert_eq!(
+        base_deltas[0],
+        3 * 107,
+        "ml.train_samples counts every step's samples"
+    );
+    for (threads, deltas, params) in &trained[1..] {
+        let same = params.len() == base_params.len()
+            && params
+                .iter()
+                .zip(base_params)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same, "trained parameters diverged at {threads} threads");
+        for (name, (got, want)) in SEMANTIC_TRAIN.iter().zip(deltas.iter().zip(base_deltas)) {
+            assert_eq!(
+                got, want,
+                "{name} diverged in training: {got} at {threads} threads vs {want} at 1 thread"
+            );
+        }
     }
 
     let (_, baseline, base_probs) = &per_pool[0];

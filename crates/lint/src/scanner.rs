@@ -416,22 +416,20 @@ fn scan_ident_or_prefixed(cur: &mut Cursor<'_>, out: &mut Scanned, line: u32, co
 fn consume_number(cur: &mut Cursor<'_>) -> String {
     let mut text = String::new();
     while let Some(c) = cur.peek() {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            text.push(c);
-            cur.bump();
-        } else if c == '.' && cur.peek2().is_some_and(|c2| c2.is_ascii_digit()) {
-            text.push(c);
-            cur.bump();
-        } else if (c == '+' || c == '-')
-            && matches!(text.chars().last(), Some('e') | Some('E'))
-            && !text.starts_with("0x")
-            && !text.starts_with("0X")
-        {
-            text.push(c);
-            cur.bump();
-        } else {
+        // Digits, letters (suffixes, hex) and `_`; a `.` before a digit;
+        // an exponent's sign after a decimal `e`.
+        let part_of_number = c.is_ascii_alphanumeric()
+            || c == '_'
+            || (c == '.' && cur.peek2().is_some_and(|c2| c2.is_ascii_digit()))
+            || ((c == '+' || c == '-')
+                && matches!(text.chars().last(), Some('e') | Some('E'))
+                && !text.starts_with("0x")
+                && !text.starts_with("0X"));
+        if !part_of_number {
             break;
         }
+        text.push(c);
+        cur.bump();
     }
     text
 }

@@ -173,7 +173,7 @@ impl Gbdt {
         if num_classes < 2 {
             return Err("need at least two classes");
         }
-        if trees.is_empty() || trees.len() % num_classes != 0 {
+        if trees.is_empty() || !trees.len().is_multiple_of(num_classes) {
             return Err("tree count must be a positive multiple of the class count");
         }
         if !learning_rate.is_finite() {

@@ -473,7 +473,7 @@ mod tests {
             .map(|i| vec![i as f32, (i * 3 % 7) as f32])
             .collect();
         let targets: Vec<f32> = (0..16).map(|i| ((i * i) % 11) as f32).collect();
-        let data = Dataset::from_rows(&rows, &vec![0; 16]);
+        let data = Dataset::from_rows(&rows, &[0; 16]);
         let (grad, hess) = regression_setup(&targets);
         let idx: Vec<usize> = (0..16).collect();
         let tree = RegressionTree::fit(&data, &idx, &grad, &hess, &TreeConfig::default());

@@ -14,7 +14,7 @@
 //! | op            | A (m×k)              | B (k×n)                        | C preload        |
 //! |---------------|----------------------|--------------------------------|------------------|
 //! | conv forward  | weights `c_out×R`    | im2col `R×(N·P)`               | bias rows        |
-//! | conv ∂weights | gout `c_out×P`       | forward's cols, block ᵀ `P×R`  | zeros → `gw += Σ`|
+//! | conv ∂weights | gout `c_out×P`       | forward's cols, block ᵀ `P×R`  | zeroed record    |
 //! | conv ∂input   | permuted w `c_in×K₂` | flipped-im2col `K₂×(h·w)`      | zeros            |
 //! | dense forward | input `N×I`          | weights `I×O`                  | bias rows        |
 //! | dense ∂weights| inputᵀ `I×N`         | gout `N×O`                     | existing `gw`    |
@@ -27,12 +27,18 @@
 //! run only when the caller reads the result: a network's first conv,
 //! whose input is data, skips them.
 //!
-//! The conv weight-gradient GEMM must land in a zeroed scratch buffer and
-//! be *added* to `gw` afterwards: the reference folds a local `wgrad` from
-//! zero per sample and then does one `gw += wgrad`, which is not the same
-//! float sequence as folding directly on top of `gw`. The dense weight
-//! gradient is the opposite case — the reference folds straight onto `gw`,
-//! so there the GEMM preloads `C` with the existing values.
+//! The conv backward is two steps. [`conv2d_backward_samples`] computes
+//! each sample's ∂input and its *record*: the sample's bias sums and its
+//! ∂weights tile, the GEMM landing in a zeroed slot. [`conv2d_fold`] then
+//! adds the records to `gb`/`gw` in sample order. That split is forced by
+//! the reference, which folds a local `wgrad` from zero per sample and then
+//! does one `gw += wgrad` — not the float sequence of folding on top of
+//! `gw`. It is also what lets a batch train in slices: records of
+//! consecutive slices, folded slice after slice, are the whole batch's
+//! additions in the whole batch's order. The dense weight gradient is the
+//! opposite case — the reference folds straight onto `gw`, so there the
+//! GEMM preloads `C` with the existing values, and a dense layer trains on
+//! the whole batch.
 
 use super::im2col::{flipped_im2col, im2col_batched, sample_rows};
 use super::{timed_sgemm, with_im2col_timing, ConvGeom, Scratch};
@@ -45,7 +51,10 @@ use super::{timed_sgemm, with_im2col_timing, ConvGeom, Scratch};
 /// so the result is bitwise identical to the per-sample lowering. `out`
 /// must hold `n·c_out·oh·ow` elements; fully overwritten. The columns are
 /// left in `scratch.cols`, where a training forward takes them for
-/// [`conv2d_backward`].
+/// [`conv2d_backward_samples`].
+// The bias fill indexes `b` by `co` to fill row `co`; a `chunks_exact_mut`
+// rewrite would panic on an empty batch (`np = 0`).
+#[allow(clippy::needless_range_loop)]
 pub fn conv2d_forward(
     g: &ConvGeom,
     w: &[f32],
@@ -108,22 +117,25 @@ pub fn conv2d_forward(
     }
 }
 
-/// GEMM convolution backward from the forward's columns: `cols` is the
-/// `R×(N·P)` matrix [`conv2d_forward`] lowered for this batch, so the
-/// weight gradient reads each sample's block through [`sample_rows`]
-/// instead of lowering the input again. `gin`, when given, must be zeroed
-/// by the caller; `None` skips the input gradient — its lowering and its
-/// GEMM — for a caller that would discard it. `gw`/`gb` are accumulated
-/// into (optimizer semantics), bit for bit the same either way.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_backward(
+/// The per-sample part of the GEMM convolution backward, from the
+/// forward's columns: `cols` is the `R×(N·P)` matrix [`conv2d_forward`]
+/// lowered for this batch, so the weight gradient reads each sample's block
+/// through [`sample_rows`] instead of lowering the input again.
+///
+/// Sample `ni`'s parameter-gradient terms go to its record,
+/// `records[ni·(c_out + c_out·R)..]`: its `c_out` bias sums (one plane sum
+/// each), then its `c_out×R` ∂weights tile, folded from zero.
+/// [`conv2d_fold`] adds them to `gw`/`gb`. `records` is resized and fully
+/// overwritten. `gin`, when given, must be zeroed by the caller; `None`
+/// skips the input gradient — its lowering and its GEMM — for a caller that
+/// would discard it.
+pub fn conv2d_backward_samples(
     g: &ConvGeom,
     w: &[f32],
     cols: &[f32],
     gout: &[f32],
     mut gin: Option<&mut [f32]>,
-    gw: &mut [f32],
-    gb: &mut [f32],
+    records: &mut Vec<f32>,
     scratch: &mut Scratch,
 ) {
     let ConvGeom {
@@ -140,6 +152,9 @@ pub fn conv2d_backward(
         ow,
     } = *g;
     let (r, p, k2) = (c_in * kh * kw, oh * ow, c_out * kh * kw);
+    let stride = c_out + c_out * r;
+    records.clear();
+    records.resize(n * stride, 0.0);
 
     // Weights permuted to (ci, (co, ky, kx)) — the A operand of the
     // input-gradient GEMM. Built once per call, reused across samples.
@@ -155,31 +170,27 @@ pub fn conv2d_backward(
         }
     }
 
-    for ni in 0..n {
+    for (ni, record) in records.chunks_exact_mut(stride).enumerate() {
         let g_sample = &gout[ni * c_out * p..(ni + 1) * c_out * p];
+        let (bias_sums, tile) = record.split_at_mut(c_out);
 
         // Bias gradient: same per-plane sum as the reference.
-        for co in 0..c_out {
-            gb[co] += g_sample[co * p..(co + 1) * p].iter().sum::<f32>();
+        for (co, sum) in bias_sums.iter_mut().enumerate() {
+            *sum = g_sample[co * p..(co + 1) * p].iter().sum::<f32>();
         }
 
-        // Weight gradient: fold into a zeroed per-sample buffer, then add —
-        // matching the reference's local-wgrad-then-accumulate order.
+        // Weight gradient: folded into the zeroed tile — the reference's
+        // local `wgrad`, which the fold then adds to `gw`.
         with_im2col_timing(|| sample_rows(cols, r, n, p, ni, &mut scratch.cols));
-        scratch.tmp.clear();
-        scratch.tmp.resize(c_out * r, 0.0);
         timed_sgemm(
             c_out,
             r,
             p,
             g_sample,
             &scratch.cols,
-            &mut scratch.tmp,
+            tile,
             &mut scratch.pack,
         );
-        for (gwv, &t) in gw.iter_mut().zip(&scratch.tmp) {
-            *gwv += t;
-        }
 
         // Input gradient: flipped-kernel GEMM straight into the (zeroed)
         // gradient plane — one fold per element, ordered (co, ky, kx).
@@ -213,8 +224,27 @@ pub fn conv2d_backward(
     }
 }
 
+/// The in-order fold of the convolution backward: for each record
+/// [`conv2d_backward_samples`] wrote, in sample order, `gb += ` its bias
+/// sums and then `gw += ` its tile. That is the reference's float sequence
+/// — a per-sample `wgrad` folded from zero, then one `gw += wgrad` — so
+/// records from consecutive slices of a batch, folded slice after slice,
+/// leave the bits one call over the whole batch would.
+pub fn conv2d_fold(records: &[f32], gw: &mut [f32], gb: &mut [f32]) {
+    for record in records.chunks_exact(gb.len() + gw.len()) {
+        let (bias_sums, tile) = record.split_at(gb.len());
+        for (gbv, &s) in gb.iter_mut().zip(bias_sums) {
+            *gbv += s;
+        }
+        for (gwv, &t) in gw.iter_mut().zip(tile) {
+            *gwv += t;
+        }
+    }
+}
+
 /// GEMM dense forward: `C` preloaded with bias rows, then `C += X·W`.
 /// `out` must hold `n·dout` elements; fully overwritten.
+#[allow(clippy::too_many_arguments)]
 pub fn dense_forward(
     n: usize,
     din: usize,

@@ -33,7 +33,9 @@
 /// Fills `dst` (a `gh·gw` grid, row-major) with `src[gy+dy][gx+dx]` for every
 /// grid cell, writing zero where the shifted index leaves the `sh×sw` source.
 /// Valid spans are contiguous in `x`, so each grid row is at most one
-/// `copy_from_slice` plus zero fills.
+/// `copy_from_slice` plus zero fills; a one-column grid (the wide `1×cols`
+/// kernel's output) is one strided gather down a source column instead.
+#[allow(clippy::too_many_arguments)]
 fn shifted_plane(
     src: &[f32],
     sh: usize,
@@ -49,6 +51,25 @@ fn shifted_plane(
     // gx + dx ∈ [0, sw)  ⇒  gx ∈ [max(0, -dx), min(gw, sw - dx))
     let x_lo = (-dx).max(0).min(gw as isize) as usize;
     let x_hi = (sw as isize - dx).clamp(0, gw as isize) as usize;
+    if gw == 1 {
+        // gy + dy ∈ [0, sh)  ⇒  gy ∈ [max(0, -dy), min(gh, sh - dy))
+        let y_lo = (-dy).max(0).min(gh as isize) as usize;
+        let y_hi = (sh as isize - dy).clamp(0, gh as isize) as usize;
+        if x_lo >= x_hi || y_lo >= y_hi {
+            dst.fill(0.0);
+            return;
+        }
+        dst[..y_lo].fill(0.0);
+        let first = (y_lo as isize + dy) as usize * sw + dx as usize;
+        for (d, &v) in dst[y_lo..y_hi]
+            .iter_mut()
+            .zip(src[first..].iter().step_by(sw))
+        {
+            *d = v;
+        }
+        dst[y_hi..].fill(0.0);
+        return;
+    }
     if dx == 0 && gw == sw {
         // Full-width rows (e.g. the dx=0 taps of a same-pad kernel): the
         // valid rows form one contiguous block in both source and
@@ -284,7 +305,19 @@ mod tests {
 
     #[test]
     fn im2col_matches_direct_indexing() {
-        let (c, h, w, kh, kw, ph, pw) = (2, 4, 5, 3, 2, 1, 1);
+        // A padded 3×2 kernel, the wide kernel's one-column output grid
+        // (strided-gather path), and a padded one-column grid whose edge
+        // taps fall in padding.
+        for (c, h, w, kh, kw, ph, pw) in [
+            (2, 4, 5, 3, 2, 1, 1),
+            (2, 4, 5, 1, 5, 0, 0),
+            (1, 3, 5, 3, 7, 1, 1),
+        ] {
+            im2col_case(c, h, w, kh, kw, ph, pw);
+        }
+    }
+
+    fn im2col_case(c: usize, h: usize, w: usize, kh: usize, kw: usize, ph: usize, pw: usize) {
         let (oh, ow) = (h + 2 * ph + 1 - kh, w + 2 * pw + 1 - kw);
         let input: Vec<f32> = (0..c * h * w).map(|i| i as f32 + 0.5).collect();
         let mut cols = Vec::new();

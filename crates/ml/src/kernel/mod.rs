@@ -57,7 +57,9 @@ pub mod im2col;
 pub mod reference;
 pub mod sgemm;
 
-pub use fast::{conv2d_backward, conv2d_forward, dense_backward, dense_forward};
+pub use fast::{
+    conv2d_backward_samples, conv2d_fold, conv2d_forward, dense_backward, dense_forward,
+};
 
 use crate::error::MlError;
 use std::sync::OnceLock;
@@ -139,8 +141,8 @@ impl ConvGeom {
                 format!("channel mismatch: input has {c}, layer expects {c_in}"),
             ));
         }
-        let oh = (h + 2 * ph + 1).checked_sub(kh).unwrap_or(0);
-        let ow = (w + 2 * pw + 1).checked_sub(kw).unwrap_or(0);
+        let oh = (h + 2 * ph + 1).saturating_sub(kh);
+        let ow = (w + 2 * pw + 1).saturating_sub(kw);
         if oh == 0 || ow == 0 {
             return Err(MlError::shape(
                 op,
@@ -309,6 +311,7 @@ mod tests {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn conv_case(
         n: usize,
         c_in: usize,
@@ -346,16 +349,17 @@ mod tests {
         let (mut gin_f, mut gw_f, mut gb_f) = (vec![0.0f32; x.len()], gw_seed.clone(), b.clone());
         let (mut gin_r, mut gw_r, mut gb_r) = (vec![0.0f32; x.len()], gw_seed, b.clone());
         let cols = scratch.cols.clone();
-        fast::conv2d_backward(
+        let mut records = Vec::new();
+        fast::conv2d_backward_samples(
             &g,
             &wt,
             &cols,
             &gout,
             Some(&mut gin_f),
-            &mut gw_f,
-            &mut gb_f,
+            &mut records,
             &mut scratch,
         );
+        fast::conv2d_fold(&records, &mut gw_f, &mut gb_f);
         reference::conv2d_backward(&g, &wt, &x, &gout, &mut gin_r, &mut gw_r, &mut gb_r);
         assert_bits_eq(&gin_f, &gin_r, "conv grad_in");
         assert_bits_eq(&gw_f, &gw_r, "conv grad_w");

@@ -14,6 +14,9 @@ use super::ConvGeom;
 
 /// Naive convolution forward: kernel-position-major axpy loops.
 /// `out` must hold `n·c_out·oh·ow` elements; it is fully overwritten.
+// The seed's loop nest, kept verbatim: its index order is the fold order
+// the fast path reproduces.
+#[allow(clippy::needless_range_loop)]
 pub fn conv2d_forward(g: &ConvGeom, w: &[f32], b: &[f32], input: &[f32], out: &mut [f32]) {
     let ConvGeom {
         n,
@@ -73,7 +76,8 @@ pub fn conv2d_forward(g: &ConvGeom, w: &[f32], b: &[f32], input: &[f32], out: &m
 /// Naive convolution backward: interleaved input-gradient axpy and
 /// weight-gradient fold per kernel position. `gin` must be zeroed by the
 /// caller; `gw`/`gb` are accumulated into (optimizer semantics).
-#[allow(clippy::too_many_arguments)]
+// The seed's loop nest, kept verbatim (see `conv2d_forward`).
+#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 pub fn conv2d_backward(
     g: &ConvGeom,
     w: &[f32],

@@ -8,20 +8,18 @@
 //!   cache line (`pack[strip][p·MR + i] = A[i₀+i][p]`). Ragged strips are
 //!   zero-padded; the padded rows produce all-zero accumulators that are
 //!   never written back.
-//! * **B is packed per column block when A has more than one strip**: the
-//!   `n` axis is walked in [`NC`]-wide blocks, and each block's full
-//!   [`NR`]-column panels are repacked k-major
-//!   (`bpack[panel][p·NR + j] = B[p][jt+j]`) so the micro-kernel streams
-//!   one contiguous cache line per `k`-step. Without this, a wide `B`
-//!   (im2col of a whole batch has `n = N·oh·ow` in the thousands) strides
-//!   `4n` bytes between `k`-steps and every A strip re-walks all of it;
-//!   packed, each block is touched once and stays cache-resident across
-//!   strips. With a single strip there is no reuse to buy, so packing
-//!   would be pure overhead — those GEMMs (e.g. the input-gradient GEMM,
-//!   `m = c_in`) read B in place. A ragged right edge (fewer than `NR`
-//!   columns left) is always packed, zero-padded to a full panel, so it
-//!   runs through the same micro-kernel; the padded lanes fold zeros and
-//!   are never written back.
+//! * **B is read in place.** The `n` axis is walked in [`NC`]-wide
+//!   blocks, and every A strip runs over a block before the next block
+//!   starts, so the block stays cache-resident across strips; the
+//!   micro-kernel reads its `NR` values per `k`-step straight from `B`'s
+//!   rows. Repacking full panels k-major was measured slower on every
+//!   shape CommCNN runs — conv forward, ∂weights and ∂input, dense layers,
+//!   2 to 8 strips: by 7–39 % per GEMM on a 2-vCPU x86-64 VM at the
+//!   baseline target — because `k` is small and a block's rows are few
+//!   enough to stay cached either way. A ragged right edge
+//!   (fewer than `NR` columns left) is packed, zero-padded to a full
+//!   panel, so it runs through the same micro-kernel; the padded lanes fold
+//!   zeros and are never written back.
 //! * **No k-blocking.** Each output element is one flat left-fold over the
 //!   *entire* `k` dimension, in ascending order, starting from the value
 //!   already in `C`. Splitting `k` into cache panels would re-associate
@@ -40,8 +38,8 @@
 pub const MR: usize = 4;
 /// Columns per B tile (register-block width).
 pub const NR: usize = 16;
-/// Columns per packed B block (cache-block width, a multiple of [`NR`]):
-/// a `k×NC` block at the workload's largest `k` (~100s) stays within L2.
+/// Columns per B block (cache-block width, a multiple of [`NR`]): a
+/// `k×NC` block at the workload's largest `k` (~100s) stays within L2.
 pub const NC: usize = 256;
 
 /// `C += A · B` for row-major slices: `A` is `m×k`, `B` is `k×n`, `C` is
@@ -68,49 +66,24 @@ pub fn sgemm(
         return;
     }
 
-    // A panels at the front of `pack`; the current B block after them when
-    // packing B pays for itself (more than one strip to reuse it). A ragged
-    // right-edge panel is packed in every case.
+    // A panels at the front of `pack`, the zero-padded ragged B panel (if
+    // any) after them. `NC` is a multiple of `NR`, so only the last block
+    // can be ragged.
     let strips = m.div_ceil(MR);
     let a_len = strips * MR * k;
-    let pack_b = strips > 1;
-    let bpack_cols = if pack_b {
-        NC.min(n.div_ceil(NR) * NR)
-    } else if !n.is_multiple_of(NR) {
-        NR
-    } else {
-        0
-    };
+    let ragged_len = if n.is_multiple_of(NR) { 0 } else { k * NR };
     pack_a(m, k, a, pack);
-    pack.resize(a_len + k * bpack_cols, 0.0);
-    let (apack, bpack) = pack.split_at_mut(a_len);
+    pack.resize(a_len + ragged_len, 0.0);
+    let (apack, ragged_panel) = pack.split_at_mut(a_len);
 
     let mut jc = 0;
     while jc < n {
         let nb = NC.min(n - jc);
         let full = nb / NR;
         let ragged = nb % NR;
-
-        if pack_b {
-            // Pack this block's full NR panels k-major, once, reused by
-            // every A strip below.
-            for t in 0..full {
-                let jt = jc + t * NR;
-                for p in 0..k {
-                    bpack[(t * k + p) * NR..(t * k + p + 1) * NR]
-                        .copy_from_slice(&b[p * n + jt..p * n + jt + NR]);
-                }
-            }
-        }
-        // The ragged panel sits after the packed full ones (first when
-        // they are read in place).
-        let ragged_at = if pack_b { full * k * NR } else { 0 };
         if ragged > 0 {
             let jt = jc + full * NR;
-            for (p, dst) in bpack[ragged_at..ragged_at + k * NR]
-                .chunks_exact_mut(NR)
-                .enumerate()
-            {
+            for (p, dst) in ragged_panel.chunks_exact_mut(NR).enumerate() {
                 dst[..ragged].copy_from_slice(&b[p * n + jt..p * n + jt + ragged]);
                 dst[ragged..].fill(0.0);
             }
@@ -123,17 +96,13 @@ pub fn sgemm(
             for t in 0..full {
                 let jt = jc + t * NR;
                 let mut acc = load_tile(c, n, i0, rows, jt, NR);
-                if pack_b {
-                    micro_tile_packed(a_strip, &bpack[t * k * NR..(t * k + k) * NR], &mut acc);
-                } else {
-                    micro_tile_strided(a_strip, &b[jt..], n, &mut acc);
-                }
+                micro_tile_strided(a_strip, &b[jt..], n, &mut acc);
                 store_tile(&acc, c, n, i0, rows, jt, NR);
             }
             if ragged > 0 {
                 let jt = jc + full * NR;
                 let mut acc = load_tile(c, n, i0, rows, jt, ragged);
-                micro_tile_packed(a_strip, &bpack[ragged_at..ragged_at + k * NR], &mut acc);
+                micro_tile_packed(a_strip, ragged_panel, &mut acc);
                 store_tile(&acc, c, n, i0, rows, jt, ragged);
             }
         }
@@ -187,9 +156,9 @@ fn rank1(ap: &[f32], bv: &[f32; NR], acc: &mut [[f32; NR]; MR]) {
     }
 }
 
-/// The register micro-kernel over a packed B panel: both operands stream
-/// contiguously, so the whole k-loop is bounds-check free (`chunks_exact`
-/// on both sides). Strictly ascending `k`.
+/// The register micro-kernel over the packed ragged B panel: both operands
+/// stream contiguously, so the whole k-loop is bounds-check free
+/// (`chunks_exact` on both sides). Strictly ascending `k`.
 #[inline]
 fn micro_tile_packed(a_strip: &[f32], panel: &[f32], acc: &mut [[f32; NR]; MR]) {
     for (ap, bp) in a_strip.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
@@ -200,8 +169,8 @@ fn micro_tile_packed(a_strip: &[f32], panel: &[f32], acc: &mut [[f32; NR]; MR]) 
 }
 
 /// The register micro-kernel reading B in place: NR values per `k`-step at
-/// `b_tile[p·n..]`. Used when A has a single strip and packing B would buy
-/// no reuse. Strictly ascending `k`.
+/// `b_tile[p·n..]`. Strictly ascending `k`, the same rank-1 updates as
+/// [`micro_tile_packed`].
 #[inline]
 fn micro_tile_strided(a_strip: &[f32], b_tile: &[f32], n: usize, acc: &mut [[f32; NR]; MR]) {
     for (p, ap) in a_strip.chunks_exact(MR).enumerate() {
@@ -292,6 +261,9 @@ mod tests {
             (24, 480, 108),
             (1, 3, 736),
             (7, 33, 64),
+            // Several NC blocks, the last one ragged.
+            (5, 300, 7),
+            (9, 529, 13),
         ] {
             check(m, n, k);
         }

@@ -60,15 +60,19 @@ pub fn evaluate(y_true: &[usize], y_pred: &[usize], num_classes: usize) -> Evalu
 
     let mut per_class = Vec::with_capacity(num_classes);
     let mut correct = 0usize;
-    for c in 0..num_classes {
-        let tp = confusion[c][c];
-        let fp: usize = (0..num_classes)
-            .filter(|&t| t != c)
-            .map(|t| confusion[t][c])
+    for (c, row) in confusion.iter().enumerate() {
+        let tp = row[c];
+        let fp: usize = confusion
+            .iter()
+            .enumerate()
+            .filter(|&(t, _)| t != c)
+            .map(|(_, other)| other[c])
             .sum();
-        let fn_: usize = (0..num_classes)
-            .filter(|&p| p != c)
-            .map(|p| confusion[c][p])
+        let fn_: usize = row
+            .iter()
+            .enumerate()
+            .filter(|&(p, _)| p != c)
+            .map(|(_, &n)| n)
             .sum();
         correct += tp;
         per_class.push(ClassMetrics::from_counts(tp, fp, fn_));

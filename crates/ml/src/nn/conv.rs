@@ -12,7 +12,7 @@
 //! forward keeps its im2col columns for the weight gradient instead of a
 //! copy of its input.
 
-use super::{check_grad_out, he_normal, Layer};
+use super::{check_grad_out, he_normal, replica_of, Layer};
 use crate::error::MlError;
 use crate::kernel::{self, ConvGeom, Scratch};
 use crate::tensor::Tensor;
@@ -38,6 +38,11 @@ pub struct Conv2d {
     /// steps and lent to the kernel through `Scratch`, so it is filled in
     /// place, never reallocated once grown.
     cols: Vec<f32>,
+    /// The last backward's per-sample parameter-gradient records (see
+    /// [`kernel::conv2d_backward_samples`]): folded into `gw`/`gb` by that
+    /// backward, and read by a master layer's [`Layer::fold_shard`] when
+    /// this layer is a shard replica.
+    records: Vec<f32>,
 }
 
 impl Conv2d {
@@ -72,6 +77,7 @@ impl Conv2d {
             c_out,
             geom_cache: None,
             cols: Vec::new(),
+            records: Vec::new(),
         }
     }
 
@@ -130,16 +136,16 @@ impl Conv2d {
         grad_in: Option<&mut [f32]>,
         scratch: &mut Scratch,
     ) {
-        kernel::conv2d_backward(
+        kernel::conv2d_backward_samples(
             g,
             self.w.data(),
             &self.cols,
             grad_out.data(),
             grad_in,
-            self.gw.data_mut(),
-            self.gb.data_mut(),
+            &mut self.records,
             scratch,
         );
+        kernel::conv2d_fold(&self.records, self.gw.data_mut(), self.gb.data_mut());
     }
 }
 
@@ -170,6 +176,22 @@ impl Layer for Conv2d {
     fn backward_params(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Result<(), MlError> {
         let g = self.take_geom(grad_out)?;
         self.run_backward(&g, grad_out, None, scratch);
+        Ok(())
+    }
+
+    fn fold_shard(&mut self, shard: &dyn Layer) -> Result<(), MlError> {
+        let shard = replica_of::<Conv2d>(shard)?;
+        if shard.w.shape() != self.w.shape() {
+            return Err(MlError::shape(
+                "fold_shard",
+                format!(
+                    "shard conv {:?} does not match this conv {:?}",
+                    shard.w.shape(),
+                    self.w.shape()
+                ),
+            ));
+        }
+        kernel::conv2d_fold(&shard.records, self.gw.data_mut(), self.gb.data_mut());
         Ok(())
     }
 

@@ -18,6 +18,10 @@
 //!   ∂loss/∂input — the first layer of a network, whose input is data. It
 //!   leaves the same parameter gradients, bit for bit; a convolution skips
 //!   the input-gradient lowering and GEMM.
+//! * [`Layer::fold_shard`] is how a batch trains in slices: replicas of a
+//!   stack each run the forward and backward of one slice, and the master
+//!   folds their per-sample gradient records slice by slice. A convolution
+//!   keeps such records; the result is the whole-batch backward's bits.
 //!
 //! Data-dependent failures (mis-shaped inputs, a `backward` with no cached
 //! activations) surface as typed [`MlError`]s; constructor invariants that
@@ -47,9 +51,10 @@ use crate::kernel::Scratch;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::any::Any;
 
 /// A differentiable layer.
-pub trait Layer {
+pub trait Layer: Any {
     /// Computes the layer output without touching layer state. Safe to call
     /// concurrently on a shared layer as long as each caller brings its own
     /// `scratch`.
@@ -72,9 +77,40 @@ pub trait Layer {
         self.backward(grad_out, scratch).map(drop)
     }
 
+    /// Adds to this layer's parameter gradients the per-sample records
+    /// that `shard`'s last backward left, sample by sample. `shard` is a
+    /// replica of this layer that ran [`Layer::forward_train`] and a
+    /// backward on a slice of the batch; folding the replicas of
+    /// consecutive slices in slice order leaves the parameter gradients one
+    /// backward over the whole batch would, bit for bit. A parameter-free
+    /// layer has nothing to fold (the default); one whose backward keeps no
+    /// per-sample records, or a `shard` that is not its replica, is an
+    /// error.
+    fn fold_shard(&mut self, _shard: &dyn Layer) -> Result<(), MlError> {
+        let mut params = 0;
+        self.visit_params(&mut |_, _| params += 1);
+        if params == 0 {
+            return Ok(());
+        }
+        Err(MlError::shape(
+            "fold_shard",
+            "this layer keeps no per-sample gradient records",
+        ))
+    }
+
     /// Visits each `(value, gradient)` parameter pair in a fixed order.
     /// Parameter-free layers use the default empty impl.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
+}
+
+/// `shard` as the concrete layer type a [`Layer::fold_shard`] expects.
+pub(crate) fn replica_of<L: Layer>(shard: &dyn Layer) -> Result<&L, MlError> {
+    (shard as &dyn Any).downcast_ref::<L>().ok_or_else(|| {
+        MlError::shape(
+            "fold_shard",
+            format!("shard is not a {}", std::any::type_name::<L>()),
+        )
+    })
 }
 
 /// Rejects a `grad_out` whose shape is not the cached forward output's.
@@ -227,6 +263,25 @@ impl Layer for Sequential {
         first.backward_params(&g, scratch)
     }
 
+    /// Folds each layer's records from the same position of `shard`.
+    fn fold_shard(&mut self, shard: &dyn Layer) -> Result<(), MlError> {
+        let shard = replica_of::<Sequential>(shard)?;
+        if shard.layers.len() != self.layers.len() {
+            return Err(MlError::shape(
+                "fold_shard",
+                format!(
+                    "shard has {} layers, this stack {}",
+                    shard.layers.len(),
+                    self.layers.len()
+                ),
+            ));
+        }
+        for (layer, replica) in self.layers.iter_mut().zip(&shard.layers) {
+            layer.fold_shard(&**replica)?;
+        }
+        Ok(())
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         for layer in &mut self.layers {
             layer.visit_params(f);
@@ -311,9 +366,8 @@ pub(crate) mod gradcheck {
         layer.visit_params(&mut |_, g| analytic.push(g.data().to_vec()));
 
         let eps = 1e-2f32;
-        let num_tensors = analytic.len();
-        for t in 0..num_tensors {
-            for i in 0..analytic[t].len() {
+        for (t, grads) in analytic.iter().enumerate() {
+            for (i, &a) in grads.iter().enumerate() {
                 let mut f_plus = 0.0;
                 let mut f_minus = 0.0;
                 perturb(layer, t, i, eps);
@@ -322,7 +376,6 @@ pub(crate) mod gradcheck {
                 f_minus += layer.forward(input, &mut scratch).unwrap().sum();
                 perturb(layer, t, i, eps); // restore
                 let numeric = (f_plus - f_minus) / (2.0 * eps);
-                let a = analytic[t][i];
                 assert!(
                     (a - numeric).abs() <= tol * (1.0 + numeric.abs()),
                     "param grad mismatch tensor {t} elem {i}: analytic {a}, numeric {numeric}"
@@ -372,6 +425,23 @@ mod tests {
         let trained = seq.forward_train(&x, &mut scratch).unwrap();
         let frozen = (&seq as &dyn Layer).forward(&x, &mut scratch).unwrap();
         assert_eq!(trained.data(), frozen.data());
+    }
+
+    #[test]
+    fn fold_shard_rejects_what_keeps_no_records() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut dense = Sequential::new().push(Dense::new(3, 2, &mut rng));
+        let replica = Sequential::new().push(Dense::new(3, 2, &mut rng));
+        let e = dense.fold_shard(&replica).unwrap_err();
+        assert!(e.to_string().contains("no per-sample gradient records"));
+        // A stack of another length, or another layer type, is no replica.
+        let mut convs = Sequential::new().push(Conv2d::new(1, 2, 1, 1, &mut rng));
+        let e = convs.fold_shard(&Sequential::new()).unwrap_err();
+        assert!(e.to_string().contains("layers"));
+        let e = convs.fold_shard(&Relu::new()).unwrap_err();
+        assert!(e.to_string().contains("shard is not a"));
+        // Parameter-free layers have nothing to fold.
+        assert!(Relu::new().fold_shard(&Relu::new()).is_ok());
     }
 
     #[test]

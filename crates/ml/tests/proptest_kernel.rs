@@ -119,9 +119,11 @@ proptest! {
         let (mut gw_ref, mut gw_fast) = (gw0.clone(), gw0);
         let (mut gb_ref, mut gb_fast) = (gb0.clone(), gb0);
         reference::conv2d_backward(&g, &wts, &input, &gout, &mut gin_ref, &mut gw_ref, &mut gb_ref);
-        fast::conv2d_backward(
-            &g, &wts, &cols, &gout, Some(&mut gin_fast), &mut gw_fast, &mut gb_fast, &mut scratch,
+        let mut records = Vec::new();
+        fast::conv2d_backward_samples(
+            &g, &wts, &cols, &gout, Some(&mut gin_fast), &mut records, &mut scratch,
         );
+        fast::conv2d_fold(&records, &mut gw_fast, &mut gb_fast);
         for (a, b) in gin_fast.iter().zip(&gin_ref) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "gin {} vs {}", a, b);
         }
@@ -217,6 +219,56 @@ proptest! {
         for (i, (a, b)) in param_grads(&mut params_only)
             .iter()
             .zip(&param_grads(&mut full))
+            .enumerate()
+        {
+            assert_bits_eq(a, b, &format!("param grad {i}"));
+        }
+    }
+
+    #[test]
+    fn shard_fold_matches_whole_batch_backward_bitwise(
+        n in 2usize..=7,
+        split in 1usize..7,
+        c in 1usize..4,
+        h in 1usize..8,
+        w in 1usize..8,
+        kh in 1usize..4,
+        kw in 1usize..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        // conv → relu → conv over the whole batch, against two replicas
+        // that each run forward and backward on one slice and are folded,
+        // slice after slice, into a fresh master.
+        let split = split.min(n - 1);
+        let (ph, pw) = (kh / 2, kw / 2);
+        let build = || {
+            let mut rng = StdRng::seed_from_u64(seed);
+            Sequential::new()
+                .push(Conv2d::with_padding(1, c, kh, kw, ph, pw, &mut rng))
+                .push(Relu::new())
+                .push(Conv2d::new(c, 2, 1, 1, &mut rng))
+        };
+        let (mut whole, mut master) = (build(), build());
+        let (oh, ow) = (h + 2 * ph + 1 - kh, w + 2 * pw + 1 - kw);
+        let (in_len, out_len) = (h * w, 2 * oh * ow);
+        let mut s = seed;
+        let input = filled(n * in_len, &mut s);
+        let gout = filled(n * out_len, &mut s);
+        let mut scratch = Scratch::new();
+
+        whole.forward_train(&Tensor::from_vec(&[n, 1, h, w], input.clone()), &mut scratch).unwrap();
+        whole.backward_params(&Tensor::from_vec(&[n, 2, oh, ow], gout.clone()), &mut scratch).unwrap();
+        for (lo, hi) in [(0, split), (split, n)] {
+            let mut shard = build();
+            let x = Tensor::from_vec(&[hi - lo, 1, h, w], input[lo * in_len..hi * in_len].to_vec());
+            let g = Tensor::from_vec(&[hi - lo, 2, oh, ow], gout[lo * out_len..hi * out_len].to_vec());
+            shard.forward_train(&x, &mut scratch).unwrap();
+            shard.backward_params(&g, &mut scratch).unwrap();
+            master.fold_shard(&shard).unwrap();
+        }
+        for (i, (a, b)) in param_grads(&mut master)
+            .iter()
+            .zip(&param_grads(&mut whole))
             .enumerate()
         {
             assert_bits_eq(a, b, &format!("param grad {i}"));

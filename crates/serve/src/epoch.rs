@@ -302,9 +302,8 @@ mod tests {
         let graph = &epoch.world().graph;
         let mut scratch = Scratch::new();
         assert!(graph.num_edges() > 0);
-        for i in 0..graph.num_edges() {
+        for (i, (want_label, want_proba)) in expected.iter().enumerate() {
             let (u, v) = graph.endpoints(EdgeId(i as u32));
-            let (want_label, want_proba) = &expected[i];
             match epoch.classify_edge(u.0, v.0, &mut scratch) {
                 EdgeOutcome::Classified { label, proba } => {
                     assert_eq!(label, *want_label, "edge {i} label");

@@ -64,6 +64,50 @@ fn cnn_model_snapshot_matches_the_golden_digest() {
     );
 }
 
+/// CRC32 of the CommCNN snapshot Phase II trained on 75 labelled
+/// communities at the last commit whose training ran each mini-batch
+/// through one replica-free backward on one thread.
+const GOLDEN_SHARDED_CNN_MODEL_CRC32: u32 = 0x935c_33d0;
+
+#[test]
+fn cnn_model_trained_in_shards_matches_the_golden_digest() {
+    // 75 samples in batches of 32: two full batches of two 16-sample
+    // shards each and a ragged last batch of 11, trained by Phase II on
+    // two threads. A fold out of sample order moves the digest.
+    let scenario = Scenario::generate(&SynthConfig::tiny(41));
+    let config = LocecConfig {
+        community_model: CommunityModelKind::Cnn,
+        threads: 2,
+        commcnn: CommCnnConfig {
+            epochs: 2,
+            ..CommCnnConfig::fast()
+        },
+        ..LocecConfig::fast()
+    };
+    let division = divide(&scenario.graph, &config);
+    let ds = scenario.dataset();
+    let labeled = community_ground_truth(
+        ds.graph,
+        &division,
+        ds.labeled_edges,
+        config.community_label_min_coverage,
+    );
+    assert!(
+        labeled.len() >= 75,
+        "{} labelled communities",
+        labeled.len()
+    );
+    let mut model = CommunityClassifier::train(&ds, &division, &labeled[..75], &config);
+
+    let digest = saved_crc32("cnn_sharded", |path| {
+        save_community_model(path, &mut model).unwrap()
+    });
+    assert_eq!(
+        digest, GOLDEN_SHARDED_CNN_MODEL_CRC32,
+        "sharded CommCNN snapshot bytes moved (crc32 {digest:#010x})"
+    );
+}
+
 #[test]
 fn edge_model_snapshot_matches_the_golden_digest() {
     let scenario = Scenario::generate(&SynthConfig::tiny(41));

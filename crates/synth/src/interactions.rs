@@ -158,8 +158,7 @@ mod tests {
 
     #[test]
     fn propensity_orderings_match_figure3() {
-        for cat in 0..4usize {
-            let p = &DIM_PROPENSITY[cat];
+        for p in &DIM_PROPENSITY[..4] {
             // Pictures are liked more than articles and games (all types).
             assert!(p[DIM_LIKE_PICTURE] > p[DIM_LIKE_ARTICLE]);
             assert!(p[DIM_LIKE_PICTURE] > p[DIM_LIKE_GAME]);

@@ -167,7 +167,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(format!("missing subcommand\n\n{USAGE}"));
     };
-    let parsed = Parsed::parse(rest)?;
+    let parsed = Parsed::parse(rest);
     if let Some(level) = parsed.str("log-level") {
         let level = locec::obs::log::parse_level(level).ok_or_else(|| {
             format!("unknown --log-level '{level}' (error|warn|info|debug|trace)")
@@ -342,6 +342,10 @@ struct Parsed {
     flags: HashMap<String, String>,
     switches: Vec<String>,
     positional: Vec<String>,
+    /// A last `--name` with nothing after it. Whether that is an unknown
+    /// option or a missing value depends on the verb, so `check_args`
+    /// reports it.
+    dangling: Option<String>,
 }
 
 /// Flags that take no value.
@@ -362,26 +366,32 @@ const OBS_FLAGS: &[&str] = &["report", "log-level"];
 const OBS_SWITCHES: &[&str] = &["--log-json"];
 
 impl Parsed {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    fn parse(args: &[String]) -> Self {
         let mut flags = HashMap::new();
         let mut switches = Vec::new();
         let mut positional = Vec::new();
+        let mut dangling = None;
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if SWITCHES.contains(&a.as_str()) {
                 switches.push(a.clone());
             } else if let Some(name) = a.strip_prefix("--") {
-                let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-                flags.insert(name.to_owned(), value.clone());
+                match it.next() {
+                    Some(value) => {
+                        flags.insert(name.to_owned(), value.clone());
+                    }
+                    None => dangling = Some(name.to_owned()),
+                }
             } else {
                 positional.push(a.clone());
             }
         }
-        Ok(Parsed {
+        Parsed {
             flags,
             switches,
             positional,
-        })
+            dangling,
+        }
     }
 
     fn has(&self, switch: &str) -> bool {
@@ -397,10 +407,14 @@ impl Parsed {
         switches: &[&str],
         positional_ok: bool,
     ) -> Result<(), String> {
-        for name in self.flags.keys() {
-            if !flags.contains(&name.as_str()) && !OBS_FLAGS.contains(&name.as_str()) {
+        let known = |name: &str| flags.contains(&name) || OBS_FLAGS.contains(&name);
+        for name in self.flags.keys().chain(&self.dangling) {
+            if !known(name) {
                 return Err(format!("unknown option --{name}\n\n{USAGE}"));
             }
+        }
+        if let Some(name) = &self.dangling {
+            return Err(format!("--{name} needs a value"));
         }
         for s in &self.switches {
             if !switches.contains(&s.as_str()) && !OBS_SWITCHES.contains(&s.as_str()) {
@@ -579,11 +593,10 @@ fn cmd_evolve(p: &Parsed) -> Result<(), String> {
     let world_path = p.path("world")?;
     let out_world = p.flags.get("out-world").map(PathBuf::from);
     let t0 = std::time::Instant::now();
-    let delta = if out_world.is_some() {
+    let delta = if let Some(out_world) = out_world {
         let world = StoredWorld::load(&world_path).map_err(store_err)?;
         let delta = WorldDelta::generate(&world.graph, &cfg);
         let evolved = apply_world_delta(&world, &delta).map_err(store_err)?;
-        let out_world = out_world.unwrap();
         evolved.save(&out_world).map_err(store_err)?;
         println!(
             "evolve: evolved world ({} edges, {} labeled) -> {}",

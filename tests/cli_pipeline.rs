@@ -470,6 +470,25 @@ fn cli_reports_typed_errors_without_panicking() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --treads"));
 
+    // A trailing option with no value: unknown to the verb is an unknown
+    // option; known to it, a missing value.
+    let out = Command::new(bin())
+        .current_dir(&dir)
+        .args(["lint", "--bogus"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option --bogus"), "{stderr}");
+    assert!(!stderr.contains("needs a value"), "{stderr}");
+    let out = Command::new(bin())
+        .current_dir(&dir)
+        .args(["divide", "--world"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--world needs a value"));
+
     // Mode-specific divide flags are rejected, never silently ignored.
     let out = Command::new(bin())
         .current_dir(&dir)
