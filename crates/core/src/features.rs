@@ -227,8 +227,12 @@ mod tests {
     fn community(members: &[u32], tight: &[f32]) -> LocalCommunity {
         LocalCommunity {
             ego: NodeId(99),
-            members: members.iter().map(|&m| NodeId(m)).collect(),
-            tightness: tight.to_vec(),
+            members: members
+                .iter()
+                .map(|&m| NodeId(m))
+                .collect::<Vec<_>>()
+                .into(),
+            tightness: tight.to_vec().into(),
         }
     }
 

@@ -27,6 +27,7 @@
 //! they took.
 
 pub mod advertising;
+pub mod column;
 pub mod commcnn;
 pub mod config;
 pub mod features;
@@ -37,6 +38,7 @@ pub mod phase2;
 pub mod phase3;
 pub mod pipeline;
 
+pub use column::Column;
 pub use commcnn::{CommCnn, CommCnnConfig};
 pub use config::{CommunityDetector, CommunityModelKind, LocecConfig};
 pub use features::{community_feature_matrix, interact, tightness};

@@ -16,11 +16,27 @@
 //!
 //! Each thread owns a [`DivideScratch`] arena (ego-network slot,
 //! Girvan–Newman buffers, tightness bitmask) that it reuses for every ego
-//! it divides in a call, so the steady-state per-ego pipeline performs no
-//! heap allocation beyond the result itself. The original
-//! static-sharding implementation is preserved in [`mod@reference`] as an
-//! executable specification.
+//! it divides in a call, and appends each community to its chunk's
+//! [`CommunityColumns`], so the steady-state per-ego pipeline performs no
+//! heap allocation of its own. The original static-sharding implementation
+//! is preserved in [`mod@reference`] as an executable specification.
+//!
+//! ## One column pair per division
+//!
+//! A division's communities do not own their members: `members` and
+//! `tightness` are [`Column`] views into two buffers shared by every
+//! community of the division, laid out in community order, each community's
+//! run starting where the previous one's ended. [`divide`] and the shard
+//! merge end in [`DivisionResult::from_communities`], which packs its input
+//! into exactly one such pair; the incremental [`splice_update`] copies the
+//! clean and the re-divided communities straight into a new pair; the
+//! snapshot reader in `locec_store` slices its views out of the decoded
+//! columns the same way. So a division holds exactly its
+//! Σ|C| live members and tightness values, however many update batches
+//! produced it, and loading, cloning or dropping one costs a few
+//! allocations, not two per community.
 
+use crate::column::Column;
 use crate::config::{CommunityDetector, LocecConfig};
 use crate::features::tightness;
 use locec_community::{girvan_newman_with, label_propagation, louvain, GnScratch};
@@ -32,15 +48,24 @@ pub mod reference;
 
 /// One local community: a cluster of `ego`'s friends in `ego`'s ego
 /// network.
+///
+/// `members` and `tightness` are read-only [`Column`] views into the
+/// column pair the whole division shares (see the module docs): they deref
+/// to `&[NodeId]` / `&[f32]`, clone by reference count and compare by
+/// contents. Build one from owned data with `Vec::into`. The community
+/// stays a struct of public fields rather than becoming an index into the
+/// columns because the stand-alone benchmark, which must build unchanged,
+/// reads `division.communities[i]` and compares `a.members == b.members`
+/// and `a.tightness.iter()` field by field.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LocalCommunity {
     /// The ego node whose ego network this community lives in.
     pub ego: NodeId,
-    /// Global ids of the member friends (ascending).
-    pub members: Vec<NodeId>,
+    /// Global ids of the member friends (ascending, never empty).
+    pub members: Column<NodeId>,
     /// Eq. 3 tightness of each member w.r.t. this community (parallel to
     /// `members`).
-    pub tightness: Vec<f32>,
+    pub tightness: Column<f32>,
 }
 
 impl LocalCommunity {
@@ -49,7 +74,8 @@ impl LocalCommunity {
         self.members.len()
     }
 
-    /// Whether the community is empty (never true for generated results).
+    /// Whether the community is empty (never true of a division: divide
+    /// writes no empty community and the snapshot reader refuses one).
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
@@ -64,6 +90,13 @@ impl LocalCommunity {
 }
 
 /// Output of Phase I for the whole graph.
+///
+/// The communities are in ego order, and their `members` and `tightness`
+/// views tile one shared column pair in that order whenever the division
+/// comes from `divide`, an update, the shard merge or the snapshot reader.
+/// `communities` stays a
+/// public `Vec<LocalCommunity>` for the same reason [`LocalCommunity`]
+/// stays a struct: the stand-alone benchmark indexes and iterates it.
 ///
 /// Membership lookups are backed by a flat table keyed by the graph's
 /// adjacency order: slot [`CsrGraph::adjacency_slot`]`(ego, friend)` holds
@@ -127,6 +160,12 @@ impl DivisionResult {
     /// partial results of a sharded multi-process run: because every ego is
     /// computed independently, the result is bit-identical to a
     /// single-process [`divide`] over the same graph.
+    ///
+    /// The communities are packed into exactly one column pair, in
+    /// community order: input that already tiles one pair (a single
+    /// [`divide_range`] call) is kept as it is; anything else (the shards
+    /// of a sharded run) is copied into a fresh pair, and the buffers it
+    /// viewed are released.
     pub fn from_communities(
         graph: &CsrGraph,
         communities: Vec<LocalCommunity>,
@@ -136,6 +175,12 @@ impl DivisionResult {
             communities.windows(2).all(|w| w[0].ego <= w[1].ego),
             "communities must be in ego order"
         );
+        Self::with_membership(graph, pack(communities), threads)
+    }
+
+    /// A division of packed, ego-ordered `communities` with their
+    /// membership table built against `graph`.
+    fn with_membership(graph: &CsrGraph, communities: Vec<LocalCommunity>, threads: usize) -> Self {
         let membership = Self::build_membership_parallel(graph, &communities, threads);
         DivisionResult {
             communities,
@@ -171,13 +216,13 @@ impl DivisionResult {
             ));
         }
         // One walk per ego over its ascending neighbour list. The ego's
-        // communities are a contiguous run `lo..hi` (ego order), each with a
-        // cursor into its ascending members: the friend in a slot must be
-        // the next member of the community the slot names. A walk per
-        // community instead would rescan the neighbour list once for each
-        // of the ego's communities.
+        // communities are a contiguous run `lo..hi` (ego order), each with
+        // the ascending members no slot has named yet: the friend in a slot
+        // must be the first of those of the community the slot names. A
+        // walk per community instead would rescan the neighbour list once
+        // for each of the ego's communities.
         let communities = &self.communities;
-        let mut cursors: Vec<usize> = Vec::new();
+        let mut rest: Vec<&[NodeId]> = Vec::new();
         let mut lo = 0usize;
         for ego in graph.nodes() {
             let hi = lo
@@ -185,23 +230,30 @@ impl DivisionResult {
                     .iter()
                     .take_while(|c| c.ego == ego)
                     .count();
-            cursors.clear();
-            cursors.resize(hi - lo, 0);
+            rest.clear();
+            rest.extend(communities[lo..hi].iter().map(|c| &c.members[..]));
+            if let Some(i) = rest.iter().position(|m| m.is_empty()) {
+                let ci = lo + i;
+                return mismatch(format!("community {ci} of ego {} has no members", ego.0));
+            }
             let slots = &self.membership[graph.adjacency_offset(ego)..];
             for (&friend, &ci) in graph.neighbors(ego).iter().zip(slots) {
-                let ci = ci as usize;
-                if !(lo..hi).contains(&ci)
-                    || communities[ci].members.get(cursors[ci - lo]) != Some(&friend)
-                {
-                    return mismatch(format!(
-                        "the slot of friend {} of ego {} names no community of the ego that \
-                         holds the friend",
-                        friend.0, ego.0
-                    ));
+                let unnamed = (ci as usize).checked_sub(lo).and_then(|i| rest.get_mut(i));
+                match unnamed.map(|m| (*m, m)) {
+                    Some((members, slot)) if members.first() == Some(&friend) => {
+                        *slot = &members[1..];
+                    }
+                    _ => {
+                        return mismatch(format!(
+                            "the slot of friend {} of ego {} names no community of the ego \
+                             that holds the friend",
+                            friend.0, ego.0
+                        ))
+                    }
                 }
-                cursors[ci - lo] += 1;
             }
-            if let Some(ci) = (lo..hi).find(|&ci| cursors[ci - lo] != communities[ci].len()) {
+            if let Some(i) = rest.iter().position(|m| !m.is_empty()) {
+                let ci = lo + i;
                 return mismatch(format!(
                     "community {ci} holds members that no slot of its ego {} names",
                     ego.0
@@ -283,6 +335,114 @@ impl DivisionResult {
     }
 }
 
+/// `communities` with their `members` and `tightness` in exactly one
+/// column pair, in community order (see
+/// [`DivisionResult::from_communities`]).
+fn pack(communities: Vec<LocalCommunity>) -> Vec<LocalCommunity> {
+    if Column::tile(communities.iter().map(|c| &c.members))
+        && Column::tile(communities.iter().map(|c| &c.tightness))
+    {
+        return communities;
+    }
+    let total = communities.iter().map(LocalCommunity::len).sum();
+    let mut columns = CommunityColumns::with_capacity(communities.len(), total);
+    for c in &communities {
+        columns.push(
+            c.ego,
+            c.members.iter().copied(),
+            c.tightness.iter().copied(),
+        );
+    }
+    drop(communities);
+    columns.finish()
+}
+
+/// Communities under construction, in columnar form: what each Phase I
+/// chunk appends to ([`divide_one_with`]) and what
+/// [`DivisionResult::from_communities`] and the update splice pack into.
+/// [`CommunityColumns::finish`] hands the communities out as views of one
+/// shared column pair.
+#[derive(Default)]
+pub struct CommunityColumns {
+    egos: Vec<NodeId>,
+    /// `ends[i]` is one past community `i`'s last member.
+    ends: Vec<usize>,
+    members: Vec<NodeId>,
+    tightness: Vec<f32>,
+}
+
+impl CommunityColumns {
+    fn with_capacity(communities: usize, members: usize) -> Self {
+        CommunityColumns {
+            egos: Vec::with_capacity(communities),
+            ends: Vec::with_capacity(communities),
+            members: Vec::with_capacity(members),
+            tightness: Vec::with_capacity(members),
+        }
+    }
+
+    /// Appends one community of `ego`: `members` ascending, `tightness`
+    /// parallel to it.
+    fn push(
+        &mut self,
+        ego: NodeId,
+        members: impl IntoIterator<Item = NodeId>,
+        tightness: impl IntoIterator<Item = f32>,
+    ) {
+        self.members.extend(members);
+        self.tightness.extend(tightness);
+        debug_assert_eq!(self.members.len(), self.tightness.len());
+        self.egos.push(ego);
+        self.ends.push(self.members.len());
+    }
+
+    /// Number of communities appended so far.
+    fn len(&self) -> usize {
+        self.egos.len()
+    }
+
+    /// The communities appended so far as `(ego, members, tightness)`.
+    fn iter(&self) -> impl Iterator<Item = (NodeId, &[NodeId], &[f32])> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        self.egos
+            .iter()
+            .zip(starts.zip(&self.ends))
+            .map(|(&ego, (start, &end))| {
+                (ego, &self.members[start..end], &self.tightness[start..end])
+            })
+    }
+
+    /// Appends `other`'s communities after this one's.
+    fn append(&mut self, other: &CommunityColumns) {
+        let base = self.members.len();
+        self.egos.extend_from_slice(&other.egos);
+        self.ends.extend(other.ends.iter().map(|&e| base + e));
+        self.members.extend_from_slice(&other.members);
+        self.tightness.extend_from_slice(&other.tightness);
+    }
+
+    /// The communities in append order, each viewing its run of one
+    /// shared column pair.
+    pub fn finish(self) -> Vec<LocalCommunity> {
+        let members = Column::from(self.members);
+        let tightness = Column::from(self.tightness);
+        let mut start = 0;
+        self.egos
+            .into_iter()
+            .zip(self.ends)
+            .map(|(ego, end)| {
+                let range = start..end;
+                start = end;
+                LocalCommunity {
+                    ego,
+                    members: members.slice(range.clone()),
+                    tightness: tightness.slice(range),
+                }
+            })
+            .collect()
+    }
+}
+
 /// Writes the community indices `first, first + 1, …` of `communities`
 /// into the membership slots of their members. `out[0]` is adjacency slot
 /// `base`; every ego of `communities` must have its slots inside `out`.
@@ -348,10 +508,11 @@ pub fn divide(graph: &CsrGraph, config: &LocecConfig) -> DivisionResult {
 
 /// Phase I over a contiguous ego-id range only — the unit of work of a
 /// sharded multi-process run (`locec divide --shard i/n`). Returns the
-/// range's communities in ego order; because every ego's computation is
-/// independent, concatenating the outputs of a partition of `0..n` and
-/// feeding them to [`DivisionResult::from_communities`] reproduces a
-/// single-process [`divide`] bit-identically.
+/// range's communities in ego order, viewing one column pair of their own;
+/// because every ego's computation is independent, concatenating the
+/// outputs of a partition of `0..n` and feeding them to
+/// [`DivisionResult::from_communities`] reproduces a single-process
+/// [`divide`] bit-identically.
 pub fn divide_range(
     graph: &CsrGraph,
     egos: std::ops::Range<u32>,
@@ -362,7 +523,7 @@ pub fn divide_range(
         "ego range {egos:?} exceeds the graph's {} nodes",
         graph.num_nodes()
     );
-    divide_indexed(graph, egos.len(), |i| NodeId(egos.start + i as u32), config)
+    divide_indexed(graph, egos.len(), |i| NodeId(egos.start + i as u32), config).finish()
 }
 
 /// The parallel loop behind [`divide_range`] and [`divide_egos`]: divides the
@@ -374,22 +535,25 @@ fn divide_indexed(
     len: usize,
     ego_at: impl Fn(usize) -> NodeId + Sync,
     config: &LocecConfig,
-) -> Vec<LocalCommunity> {
+) -> CommunityColumns {
     let threads = config.threads.clamp(1, len.max(1));
     let wall = locec_obs::Recorder::global().span("phase1.wall_nanos");
-    let chunks: Vec<Vec<LocalCommunity>> = run_chunked(len, threads, DIVIDE_GRAIN, |range| {
+    let chunks: Vec<CommunityColumns> = run_chunked(len, threads, DIVIDE_GRAIN, |range| {
         SCRATCH.with(|scratch| {
             let scratch = &mut scratch.borrow_mut();
-            let mut out = Vec::new();
+            let mut out = CommunityColumns::default();
             for i in range {
                 divide_one_with(graph, ego_at(i), config, scratch, &mut out);
             }
             out
         })
     });
-    let mut merged = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-    for chunk in chunks {
-        merged.extend(chunk);
+    let mut merged = CommunityColumns::with_capacity(
+        chunks.iter().map(CommunityColumns::len).sum(),
+        chunks.iter().map(|c| c.members.len()).sum(),
+    );
+    for chunk in &chunks {
+        merged.append(chunk);
     }
     drop(wall);
     merged
@@ -401,6 +565,16 @@ fn divide_indexed(
 /// deterministic chunk-order merge as [`divide_range`], so the result is
 /// bit-identical for every thread count.
 pub fn divide_egos(graph: &CsrGraph, egos: &[NodeId], config: &LocecConfig) -> Vec<LocalCommunity> {
+    divide_egos_columns(graph, egos, config).finish()
+}
+
+/// [`divide_egos`] without handing the communities out as views: the
+/// incremental update splices them straight from these columns.
+fn divide_egos_columns(
+    graph: &CsrGraph,
+    egos: &[NodeId],
+    config: &LocecConfig,
+) -> CommunityColumns {
     assert!(
         egos.windows(2).all(|w| w[0] < w[1]),
         "ego list must be ascending and deduplicated"
@@ -422,7 +596,7 @@ pub fn divide_egos(graph: &CsrGraph, egos: &[NodeId], config: &LocecConfig) -> V
 /// that — the result is **bit-identical** to a full [`divide`] of
 /// `graph`: clean egos' communities depend only on their (unchanged) ego
 /// networks, and the membership table is rebuilt against the evolved
-/// graph's adjacency slots by [`DivisionResult::from_communities`].
+/// graph's adjacency slots.
 ///
 /// Clones `base`; callers that never reuse it call
 /// [`divide_update_owned`].
@@ -436,18 +610,18 @@ pub fn divide_update(
 }
 
 /// Owned-base variant of [`divide_update`] for callers that never reuse the
-/// base afterwards (the `divide --update` CLI stage): clean communities are
-/// **moved** out of `base` into the updated division instead of cloned, so
-/// the incremental path's memory traffic scales with the dirty set rather
-/// than the whole division.
+/// base afterwards (the `divide --update` CLI stage): nothing of `base` is
+/// cloned, its column pair is released as soon as the splice has copied
+/// the clean communities into the new one, and the re-divided communities
+/// are copied straight from the columns Phase I wrote them to.
 pub fn divide_update_owned(
     graph: &CsrGraph,
     base: DivisionResult,
     dirty: &[NodeId],
     config: &LocecConfig,
 ) -> DivisionResult {
-    let fresh = divide_egos(graph, dirty, config);
-    splice_update(graph, base, dirty, fresh, config.threads)
+    let fresh = divide_egos_columns(graph, dirty, config);
+    splice(graph, base, dirty, fresh.iter(), config.threads)
 }
 
 /// Dirty-ego fraction above which the incremental path stops paying off
@@ -476,8 +650,10 @@ pub fn update_prefers_full_divide(dirty_len: usize, num_nodes: usize) -> bool {
 /// hold re-divided communities (the `DivisionDelta` snapshot apply path)
 /// can reuse it: drops `base`'s communities of `dirty` egos, merges in
 /// `fresh` (which must be in ego order and cover only `dirty` egos), and
-/// rebuilds the membership table against `graph`. Clean communities are
-/// moved out of `base`, not cloned.
+/// rebuilds the membership table against `graph`. Clean and fresh
+/// communities are copied into one new column pair and `base`'s pair is
+/// released, so the result holds no bytes of the dirty egos' old
+/// communities however many batches are spliced in a row.
 pub fn splice_update(
     graph: &CsrGraph,
     base: DivisionResult,
@@ -485,26 +661,51 @@ pub fn splice_update(
     fresh: Vec<LocalCommunity>,
     threads: usize,
 ) -> DivisionResult {
+    let fresh = fresh
+        .iter()
+        .map(|c| (c.ego, &c.members[..], &c.tightness[..]));
+    splice(graph, base, dirty, fresh, threads)
+}
+
+/// The body of [`splice_update`] and [`divide_update_owned`]: a two-way
+/// merge by ego of `base`'s surviving communities and the `fresh`
+/// `(ego, members, tightness)` ones, copied straight into one new column
+/// pair. The two streams' ego sets are disjoint, so the interleave is
+/// unambiguous.
+fn splice<'a>(
+    graph: &CsrGraph,
+    base: DivisionResult,
+    dirty: &[NodeId],
+    fresh: impl Iterator<Item = (NodeId, &'a [NodeId], &'a [f32])>,
+    threads: usize,
+) -> DivisionResult {
     debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]));
-    debug_assert!(fresh.windows(2).all(|w| w[0].ego <= w[1].ego));
-    debug_assert!(fresh.iter().all(|c| dirty.binary_search(&c.ego).is_ok()));
-    // Two-way merge by ego of the surviving base communities and the
-    // re-divided `fresh` ones. The two streams' ego sets are disjoint, so
-    // the interleave is unambiguous.
-    let mut merged = Vec::with_capacity(base.communities.len() + fresh.len());
-    let mut fresh = fresh.into_iter().peekable();
+    // The result partitions every ego network of `graph`.
+    let mut packed = CommunityColumns::with_capacity(base.communities.len(), graph.volume());
+    let mut fresh = fresh
+        .inspect(|f| debug_assert!(dirty.binary_search(&f.0).is_ok()))
+        .peekable();
     let clean = base
         .communities
-        .into_iter()
+        .iter()
         .filter(|c| dirty.binary_search(&c.ego).is_err());
     for c in clean {
-        while let Some(f) = fresh.next_if(|f| f.ego < c.ego) {
-            merged.push(f);
+        while let Some((ego, members, tightness)) = fresh.next_if(|f| f.0 < c.ego) {
+            packed.push(ego, members.iter().copied(), tightness.iter().copied());
         }
-        merged.push(c);
+        packed.push(
+            c.ego,
+            c.members.iter().copied(),
+            c.tightness.iter().copied(),
+        );
     }
-    merged.extend(fresh);
-    DivisionResult::from_communities(graph, merged, threads)
+    for (ego, members, tightness) in fresh {
+        packed.push(ego, members.iter().copied(), tightness.iter().copied());
+    }
+    drop(base);
+    let communities = packed.finish();
+    debug_assert!(communities.windows(2).all(|w| w[0].ego <= w[1].ego));
+    DivisionResult::with_membership(graph, communities, threads)
 }
 
 /// Splices `chunk` — the communities of one contiguous ego range, in ego
@@ -527,13 +728,14 @@ pub fn splice_ordered_chunk(communities: &mut Vec<LocalCommunity>, chunk: Vec<Lo
     communities.splice(pos..pos, chunk);
 }
 
-/// Detects the local communities of one ego node using caller-owned scratch.
+/// Detects the local communities of one ego node using caller-owned
+/// scratch, appending them to `out`.
 pub fn divide_one_with(
     graph: &CsrGraph,
     ego: NodeId,
     config: &LocecConfig,
     scratch: &mut DivideScratch,
-    out: &mut Vec<LocalCommunity>,
+    out: &mut CommunityColumns,
 ) {
     let metrics = Phase1Metrics::get();
     let t0 = std::time::Instant::now();
@@ -572,10 +774,10 @@ pub fn divide_one_with(
         for &l in group {
             mask[l.index()] = true;
         }
-        let members_global: Vec<NodeId> = group.iter().map(|&l| ego_net.to_global(l)).collect();
-        let tightness_values: Vec<f32> = group
-            .iter()
-            .map(|&l| {
+        out.push(
+            ego,
+            group.iter().map(|&l| ego_net.to_global(l)),
+            group.iter().map(|&l| {
                 let friends_in_c = ego_net
                     .graph
                     .neighbors(l)
@@ -584,16 +786,11 @@ pub fn divide_one_with(
                     .count();
                 let friends_in_ego = ego_net.friend_degree(l);
                 tightness(friends_in_c, friends_in_ego, group.len())
-            })
-            .collect();
+            }),
+        );
         for &l in group {
             mask[l.index()] = false;
         }
-        out.push(LocalCommunity {
-            ego,
-            members: members_global,
-            tightness: tightness_values,
-        });
     }
     metrics.ego_nanos.record_since(t0);
 }
@@ -714,9 +911,9 @@ mod tests {
         let division = divide(&g, &config());
         // U1 = node 0: communities {1,2,3} and {4,5}.
         let c_u2 = division.community_of(&g, NodeId(0), NodeId(1)).unwrap();
-        assert_eq!(c_u2.members, vec![NodeId(1), NodeId(2), NodeId(3)]);
+        assert_eq!(*c_u2.members, [NodeId(1), NodeId(2), NodeId(3)]);
         let c_u5 = division.community_of(&g, NodeId(0), NodeId(4)).unwrap();
-        assert_eq!(c_u5.members, vec![NodeId(4), NodeId(5)]);
+        assert_eq!(*c_u5.members, [NodeId(4), NodeId(5)]);
     }
 
     #[test]
@@ -871,7 +1068,7 @@ mod tests {
         assert!(DivisionResult::from_raw_parts(d.communities.clone(), bad).is_err());
 
         let mut torn = d.communities.clone();
-        torn[0].tightness.pop();
+        torn[0].tightness = torn[0].tightness.slice(0..torn[0].len() - 1);
         assert!(DivisionResult::from_raw_parts(torn, d.membership_table().to_vec()).is_err());
     }
 
@@ -905,8 +1102,9 @@ mod tests {
         // A member dropped from its community: its slot still names it.
         let mut shrunk = d.communities.clone();
         let big = shrunk.iter().position(|c| c.len() > 1).unwrap();
-        shrunk[big].members.pop();
-        shrunk[big].tightness.pop();
+        let kept = 0..shrunk[big].len() - 1;
+        shrunk[big].members = shrunk[big].members.slice(kept.clone());
+        shrunk[big].tightness = shrunk[big].tightness.slice(kept);
         assert!(check(shrunk, table.to_vec()).contains(misnamed));
 
         // A member that is not a friend of its ego, after every real one.
@@ -922,21 +1120,36 @@ mod tests {
             })
             .unwrap();
         let mut stranger = d.communities.clone();
-        stranger[ci].members.push(outsider);
-        stranger[ci].tightness.push(1.0);
+        let mut members = stranger[ci].members.to_vec();
+        members.push(outsider);
+        stranger[ci].members = members.into();
+        let mut tightness = stranger[ci].tightness.to_vec();
+        tightness.push(1.0);
+        stranger[ci].tightness = tightness.into();
         let err = check(stranger, table.to_vec());
         assert!(err.contains("holds members that no slot"), "{err}");
 
-        // A community of an ego outside the graph (empty, so every slot
-        // still checks out).
+        // A community of an ego outside the graph (no slot names it, so
+        // every slot still checks out).
         let mut far = d.communities.clone();
         far.push(LocalCommunity {
             ego: NodeId(g.num_nodes() as u32),
-            members: Vec::new(),
-            tightness: Vec::new(),
+            members: vec![NodeId(0)].into(),
+            tightness: vec![1.0].into(),
         });
         let err = check(far, table.to_vec());
         assert!(err.contains("outside the graph"), "{err}");
+
+        // An empty community of the last ego: its cursor ends at its
+        // length of 0, yet divide never writes one.
+        let mut hollow = d.communities.clone();
+        hollow.push(LocalCommunity {
+            ego: d.communities.last().unwrap().ego,
+            members: Column::default(),
+            tightness: Column::default(),
+        });
+        let err = check(hollow, table.to_vec());
+        assert!(err.contains("has no members"), "{err}");
     }
 
     #[test]

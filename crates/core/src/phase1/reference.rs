@@ -90,8 +90,8 @@ fn divide_one_reference(
             .collect();
         out.push(LocalCommunity {
             ego,
-            members: members_global,
-            tightness: tightness_values,
+            members: members_global.into(),
+            tightness: tightness_values.into(),
         });
     }
 }

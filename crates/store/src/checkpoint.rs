@@ -255,13 +255,13 @@ mod tests {
             communities: vec![
                 LocalCommunity {
                     ego: NodeId(3),
-                    members: vec![NodeId(1), NodeId(7)],
-                    tightness: vec![0.5, 0.25],
+                    members: vec![NodeId(1), NodeId(7)].into(),
+                    tightness: vec![0.5, 0.25].into(),
                 },
                 LocalCommunity {
                     ego: NodeId(55),
-                    members: vec![NodeId(54)],
-                    tightness: vec![1.0],
+                    members: vec![NodeId(54)].into(),
+                    tightness: vec![1.0].into(),
                 },
             ],
         }

@@ -505,8 +505,8 @@ mod tests {
             .expect("node 0 is not adjacent to everyone");
         let stray = LocalCommunity {
             ego,
-            members: vec![non_neighbor],
-            tightness: vec![1.0],
+            members: vec![non_neighbor].into(),
+            tightness: vec![1.0].into(),
         };
         let mut dirty2 = dirty.clone();
         if dirty2.binary_search(&stray.ego).is_err() {

@@ -5,10 +5,21 @@
 //! flat tightness — and a full division additionally persists the
 //! adjacency-slot membership table verbatim, so loading never recomputes
 //! anything and round-trips are bit-identical by construction.
+//!
+//! The in-memory layout mirrors the file: a loaded division's communities
+//! are [`Column`] views into one members buffer and one tightness buffer,
+//! each decoded once, so loading, hot-swapping and dropping a division
+//! costs a handful of allocations however many communities it has. The
+//! reader slices those views by the stored member offsets, so it first
+//! proves every offset, count and ego consistent and refuses anything else
+//! with [`SnapshotError::Corrupt`]. Divisions built in memory share the
+//! layout: [`DivisionResult::from_communities`] packs them into one column
+//! pair.
 
 use crate::checkpoint::validate_merged_state;
 use crate::format::{Enc, Snapshot, SnapshotError, SnapshotKind, SnapshotWriter};
 use locec_core::phase1::{DivisionResult, LocalCommunity};
+use locec_core::Column;
 use locec_graph::{CsrGraph, NodeId};
 use std::path::Path;
 
@@ -72,9 +83,15 @@ pub(crate) fn add_community_sections(w: &mut SnapshotWriter, communities: &[Loca
     w.add("tightness", tightness.finish());
 }
 
-/// Decodes the columnar community sections, validating the structural
-/// invariants queries rely on (ascending members, parallel arrays,
-/// in-range egos).
+/// Decodes the columnar community sections into communities that view
+/// one shared column pair (each column decoded once; no allocation per
+/// community). Every invariant the views and the queries rely on is
+/// checked first, so a CRC-valid but inconsistent column set is a typed
+/// [`SnapshotError::Corrupt`], never a panic: egos in node range and in
+/// order, offsets starting at 0 and non-decreasing, no community without
+/// members, the last offset equal to the member count and to the
+/// tightness count, members in node range and ascending within each
+/// community.
 pub(crate) fn read_community_sections(
     snap: &Snapshot,
     num_nodes: u32,
@@ -94,23 +111,26 @@ pub(crate) fn read_community_sections(
     if dec.count()? != count + 1 {
         return Err(SnapshotError::Corrupt("member offset count mismatch"));
     }
-    let mut offsets = Vec::with_capacity(count + 1);
-    for _ in 0..=count {
-        offsets.push(dec.count()?);
-    }
+    let offsets = dec.u64_vec(count + 1)?;
     dec.done()?;
-    if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
+    if offsets.first() != Some(&0) || offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(SnapshotError::Corrupt("member offsets are not monotonic"));
     }
-    let total = offsets[count];
+    if offsets.windows(2).any(|w| w[0] == w[1]) {
+        return Err(SnapshotError::Corrupt("community has no members"));
+    }
+    // Every offset is at most the last, so once it fits a view's `u32`
+    // range, all of them do.
+    let total = u32::try_from(offsets.last().copied().unwrap_or(0))
+        .map_err(|_| SnapshotError::Corrupt("member count exceeds u32"))? as usize;
 
     let mut dec = snap.section("members")?;
     if dec.count()? != total {
         return Err(SnapshotError::Corrupt("member count mismatch"));
     }
-    let members = dec.u32_vec(total)?;
+    let members = dec.u32_column(total, NodeId)?;
     dec.done()?;
-    if members.iter().any(|&m| m >= num_nodes) {
+    if members.iter().any(|m| m.0 >= num_nodes) {
         return Err(SnapshotError::Corrupt("community member out of node range"));
     }
 
@@ -118,23 +138,24 @@ pub(crate) fn read_community_sections(
     if dec.count()? != total {
         return Err(SnapshotError::Corrupt("tightness count mismatch"));
     }
-    let tightness = dec.f32_vec(total)?;
+    let tightness = Column::from(dec.u32_column(total, f32::from_bits)?);
     dec.done()?;
 
-    (0..count)
-        .map(|i| {
-            let slice = offsets[i]..offsets[i + 1];
-            let ms: Vec<NodeId> = members[slice.clone()].iter().map(|&m| NodeId(m)).collect();
-            if ms.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(SnapshotError::Corrupt("community members not ascending"));
-            }
-            Ok(LocalCommunity {
-                ego: NodeId(egos[i]),
-                members: ms,
-                tightness: tightness[slice].to_vec(),
-            })
-        })
-        .collect()
+    let members = Column::from(members);
+    let mut communities = Vec::with_capacity(count);
+    for (&ego, w) in egos.iter().zip(offsets.windows(2)) {
+        let range = w[0] as usize..w[1] as usize;
+        let ms = members.slice(range.clone());
+        if ms.windows(2).any(|p| p[0] >= p[1]) {
+            return Err(SnapshotError::Corrupt("community members not ascending"));
+        }
+        communities.push(LocalCommunity {
+            ego: NodeId(ego),
+            members: ms,
+            tightness: tightness.slice(range),
+        });
+    }
+    Ok(communities)
 }
 
 /// Writes a complete division (communities + verbatim membership table).

@@ -24,7 +24,7 @@
 use std::fmt;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"LOCECSNP";
@@ -408,6 +408,31 @@ impl<'a> Dec<'a> {
     /// Reads `count` little-endian `f32`s (bit patterns preserved exactly).
     pub fn f32_vec(&mut self, count: usize) -> Result<Vec<f32>, SnapshotError> {
         self.words(count, f32::from_le_bytes)
+    }
+
+    /// Reads `count` little-endian `u64`s with one bounds check, before
+    /// allocating, into a vector of exactly that size.
+    pub fn u64_vec(&mut self, count: usize) -> Result<Vec<u64>, SnapshotError> {
+        let bytes = self.take(count.checked_mul(8).ok_or(SnapshotError::Truncated)?)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(array(c)))
+            .collect())
+    }
+
+    /// Reads `count` little-endian `u32`s, each mapped through `f`, into one
+    /// shared buffer: bounds-checked before allocating, then written in a
+    /// single pass into an allocation of its final size.
+    pub fn u32_column<T>(
+        &mut self,
+        count: usize,
+        f: impl Fn(u32) -> T,
+    ) -> Result<Arc<[T]>, SnapshotError> {
+        let bytes = self.take(count.checked_mul(4).ok_or(SnapshotError::Truncated)?)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| f(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
+            .collect())
     }
 
     /// Bounds-checks `count` 4-byte words, then converts them in one
