@@ -5,7 +5,7 @@ use crate::{harness_config, Method, Report, Table, World};
 use locec_core::advertising::{run_campaign, AdCategory, AdConfig, Targeting};
 use locec_core::config::RowOrder;
 use locec_core::features::{pooled_feature_vector, FEATURE_COLS};
-use locec_core::phase2::AggregationResult;
+use locec_core::phase2::{AggregationResult, CommunityClassifier};
 use locec_core::phase3::{edge_feature, EdgeClassifier};
 use locec_core::pipeline::split_edges;
 use locec_core::{
@@ -282,8 +282,8 @@ pub fn table5(world: &World) -> Report {
     .map(|(label, kind)| {
         let mut cfg = config.clone();
         cfg.community_model = kind;
-        let pipeline = LocecPipeline::new(cfg);
-        let agg = pipeline.aggregate_only(&data, division, &train);
+        let agg = CommunityClassifier::train(&data, division, &train, &cfg)
+            .predict_all(&data, division, &cfg);
         let eval = agg.evaluate_on(&test);
         evaluation_rows(&mut table, label, &eval);
         eval.overall.f1
@@ -370,8 +370,8 @@ fn aggregate_on_train_split(
         &train_map,
         config.community_label_min_coverage,
     );
-    let pipeline = LocecPipeline::new(config.clone());
-    let agg = pipeline.aggregate_only(&data, division, &labeled_communities);
+    let agg = CommunityClassifier::train(&data, division, &labeled_communities, config)
+        .predict_all(&data, division, config);
     (labeled_communities, agg)
 }
 

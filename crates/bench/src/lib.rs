@@ -17,6 +17,7 @@
 //! or `paper` (42k nodes, the paper's labeled-subgraph scale — slower). Any
 //! other value is rejected.
 
+use locec_core::phase1::divide;
 use locec_core::pipeline::{split_edges, LocecOutcome};
 use locec_core::{CommunityModelKind, DivisionResult, LocecConfig, LocecPipeline};
 use locec_graph::EdgeId;
@@ -175,7 +176,7 @@ impl World {
     /// on the graph, so every experiment and sweep point shares it.
     pub fn division(&self) -> &DivisionResult {
         self.division
-            .get_or_init(|| LocecPipeline::new(harness_config()).divide_only(&self.data()))
+            .get_or_init(|| divide(&self.scenario.graph, &harness_config()))
     }
 
     /// The seed-42 80/20 `(train, test)` split of the labeled edges.

@@ -9,7 +9,7 @@
 use crate::config::LocecConfig;
 use crate::ground_truth::community_ground_truth;
 use crate::phase1::{divide, DivisionResult};
-use crate::phase2::{AggregationResult, CommunityClassifier};
+use crate::phase2::CommunityClassifier;
 use crate::phase3::{type_distribution, EdgeClassifier};
 use locec_graph::EdgeId;
 use locec_ml::metrics::Evaluation;
@@ -18,6 +18,7 @@ use locec_synth::SocialDataset;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Everything a pipeline run produces.
@@ -48,8 +49,10 @@ pub struct LocecOutcome {
     pub phase2_time: Duration,
     /// Wall-clock time of Phase III (training + labeling all edges).
     pub phase3_time: Duration,
-    /// Wall-clock time of model training (CommCNN / GBDT — the paper
-    /// reports training separately from the three phases, Table VI).
+    /// Wall-clock time of Phase II training (CommCNN / GBDT — the paper
+    /// reports training separately from the three phases, Table VI): the
+    /// whole of [`train_communities`], so the community ground-truth vote
+    /// over the training edges is included along with the model fit.
     pub training_time: Duration,
     /// Number of labeled edges used for training.
     pub num_train_edges: usize,
@@ -106,21 +109,11 @@ impl LocecPipeline {
     ) -> LocecOutcome {
         let recorder = locec_obs::Recorder::global();
 
-        // --- ground truth for Phase II (train labels only; no leakage) ---
-        let train_label_map: std::collections::HashMap<EdgeId, RelationType> =
-            train_edges.iter().copied().collect();
-        let labeled_communities = community_ground_truth(
-            data.graph,
-            division,
-            &train_label_map,
-            self.config.community_label_min_coverage,
-        );
-
         // --- Phase II: train + classify every community ---
         let t1 = Instant::now();
-        let (community_train, community_test) =
-            split_communities(&labeled_communities, 0.8, self.config.seed);
-        let classifier = CommunityClassifier::train(data, division, &community_train, &self.config);
+        let (classifier, (_, community_test)) =
+            train_communities(data, division, train_edges, &self.config)
+                .expect("no labeled communities to train on");
         let training_time = t1.elapsed();
         recorder.histogram("phase2.training_nanos").record_since(t1);
 
@@ -160,23 +153,33 @@ impl LocecPipeline {
             num_test_edges: test_edges.len(),
         }
     }
+}
 
-    /// Phase I only (exposed for benchmarks and the parameter studies).
-    pub fn divide_only(&self, data: &SocialDataset<'_>) -> DivisionResult {
-        divide(data.graph, &self.config)
+/// Phase II's training recipe, shared by every driver of Algorithm 2:
+/// community ground truth from the *training* edges only (no leakage),
+/// the seeded 80/20 [`split_communities`], then
+/// [`CommunityClassifier::train`] on the first part. Returns the fitted
+/// classifier and the `(train, held-out)` labelled communities; `None`
+/// when no community got a ground-truth label.
+pub fn train_communities(
+    data: &SocialDataset<'_>,
+    division: &DivisionResult,
+    train_edges: &[(EdgeId, RelationType)],
+    config: &LocecConfig,
+) -> Option<(CommunityClassifier, Split<(u32, RelationType)>)> {
+    let train_labels: HashMap<EdgeId, RelationType> = train_edges.iter().copied().collect();
+    let labeled = community_ground_truth(
+        data.graph,
+        division,
+        &train_labels,
+        config.community_label_min_coverage,
+    );
+    if labeled.is_empty() {
+        return None;
     }
-
-    /// Trains Phase II on externally supplied labeled communities and
-    /// returns the all-community results (exposed for the Table V harness).
-    pub fn aggregate_only(
-        &self,
-        data: &SocialDataset<'_>,
-        division: &DivisionResult,
-        labeled: &[(u32, RelationType)],
-    ) -> AggregationResult {
-        let classifier = CommunityClassifier::train(data, division, labeled, &self.config);
-        classifier.predict_all(data, division, &self.config)
-    }
+    let (train, held_out) = split_communities(&labeled, 0.8, config.seed);
+    let classifier = CommunityClassifier::train(data, division, &train, config);
+    Some((classifier, (train, held_out)))
 }
 
 /// A `(train, test)` split.
@@ -191,10 +194,8 @@ pub fn split_edges(
     seeded_split(labeled, train_fraction, seed ^ 0xE0E0)
 }
 
-/// Seeded shuffle split of labeled communities — public so external
-/// drivers (the `locec aggregate` CLI) can reproduce
-/// [`LocecPipeline::run_with_division`]'s Phase II train/test split
-/// exactly.
+/// Seeded shuffle split of labeled communities (Phase II's train/test
+/// split in [`train_communities`]).
 pub fn split_communities(
     labeled: &[(u32, RelationType)],
     train_fraction: f64,

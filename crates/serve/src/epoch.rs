@@ -53,6 +53,29 @@ pub struct ServeAssets {
     pub seed: u64,
 }
 
+impl ServeAssets {
+    /// Trained models with `config`'s feature recipe. `k` is the trained
+    /// CommCNN's input height, which its feature matrix must keep; the
+    /// GBDT pools rows and takes `config.k`.
+    pub fn new(
+        community_model: CommunityClassifier,
+        edge_model: EdgeClassifier,
+        config: &LocecConfig,
+    ) -> Self {
+        let k = match &community_model {
+            CommunityClassifier::Cnn(cnn) => cnn.input_shape().0,
+            CommunityClassifier::Xgb(_) => config.k,
+        };
+        ServeAssets {
+            community_model,
+            edge_model,
+            k,
+            row_order: config.row_order,
+            seed: config.seed,
+        }
+    }
+}
+
 /// One immutable generation of serving state.
 pub struct ServingEpoch {
     id: u64,

@@ -2,13 +2,10 @@
 //! pipeline's reference answers, against which every served reply is
 //! checked bit-for-bit.
 
-use std::collections::HashMap;
-
-use locec_core::ground_truth::community_ground_truth;
-use locec_core::phase2::CommunityClassifier;
+use locec_core::phase1::divide;
 use locec_core::phase3::EdgeClassifier;
-use locec_core::pipeline::{split_communities, split_edges};
-use locec_core::{CommunityModelKind, DivisionResult, LocecConfig, LocecPipeline};
+use locec_core::pipeline::{split_edges, train_communities};
+use locec_core::{CommunityModelKind, DivisionResult, LocecConfig};
 use locec_graph::EdgeId;
 use locec_store::InferenceWorld;
 use locec_synth::{Scenario, SynthConfig};
@@ -29,7 +26,7 @@ pub(crate) struct Fixture {
 }
 
 /// Generates a tiny scenario, trains the full LoCEC stack on it exactly
-/// the way [`LocecPipeline::run_with_division`] does, and records the
+/// the way `LocecPipeline::run_with_division` does, and records the
 /// offline answer for every edge.
 pub(crate) fn fixture(model: CommunityModelKind, seed: u64) -> Fixture {
     let scenario = Scenario::generate(&SynthConfig::tiny(seed));
@@ -38,20 +35,13 @@ pub(crate) fn fixture(model: CommunityModelKind, seed: u64) -> Fixture {
         ..LocecConfig::fast()
     };
     let data = scenario.dataset();
-    let pipeline = LocecPipeline::new(config.clone());
-    let division = pipeline.divide_only(&data);
+    let division = divide(data.graph, &config);
 
     let labeled = data.labeled_edges_sorted();
     let (train, _test) = split_edges(&labeled, 0.8, config.seed);
-    let train_map: HashMap<_, _> = train.iter().copied().collect();
-    let labeled_communities = community_ground_truth(
-        data.graph,
-        &division,
-        &train_map,
-        config.community_label_min_coverage,
-    );
-    let (community_train, _) = split_communities(&labeled_communities, 0.8, config.seed);
-    let community_model = CommunityClassifier::train(&data, &division, &community_train, &config);
+    let (community_model, _) = train_communities(&data, &division, &train, &config)
+        // locec-lint: allow(R2) — cfg(test)-only fixture; a tiny world's training labels label communities.
+        .expect("some community is labeled");
     let agg = community_model.predict_all(&data, &division, &config);
     let edge_model = EdgeClassifier::train(data.graph, &division, &agg, &train, &config.lr);
 
@@ -76,13 +66,7 @@ pub(crate) fn fixture(model: CommunityModelKind, seed: u64) -> Fixture {
         scenario.user_features().to_vec(),
         scenario.interactions.clone(),
     );
-    let assets = ServeAssets {
-        community_model,
-        edge_model,
-        k: config.k,
-        row_order: config.row_order,
-        seed: config.seed,
-    };
+    let assets = ServeAssets::new(community_model, edge_model, &config);
     Fixture {
         world,
         assets,

@@ -11,22 +11,19 @@
 //! * **Zero drops** — every request issued during the swap window gets a
 //!   reply; connection and query counts balance exactly.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use proptest::prelude::*;
 
-use locec_core::ground_truth::community_ground_truth;
+use locec_core::phase1::divide;
 use locec_core::phase2::CommunityClassifier;
 use locec_core::phase3::EdgeClassifier;
-use locec_core::pipeline::{split_communities, split_edges};
-use locec_core::{
-    CommunityDetector, CommunityModelKind, DivisionResult, LocecConfig, LocecPipeline,
-};
+use locec_core::pipeline::{split_edges, train_communities};
+use locec_core::{CommunityDetector, CommunityModelKind, DivisionResult, LocecConfig};
 use locec_graph::EdgeId;
-use locec_serve::{EdgeOutcome, ServeClient, Server};
+use locec_serve::{EdgeOutcome, ServeAssets, ServeClient, Server};
 use locec_store::{save_division, InferenceWorld};
 use locec_synth::{Scenario, SynthConfig};
 
@@ -62,15 +59,8 @@ fn offline_answers(
     train: &[(EdgeId, locec_synth::RelationType)],
 ) -> (CommunityClassifier, EdgeClassifier, Vec<(u8, Vec<f32>)>) {
     let data = world.dataset();
-    let train_map: HashMap<_, _> = train.iter().copied().collect();
-    let labeled_communities = community_ground_truth(
-        data.graph,
-        division,
-        &train_map,
-        config.community_label_min_coverage,
-    );
-    let (community_train, _) = split_communities(&labeled_communities, 0.8, config.seed);
-    let community_model = CommunityClassifier::train(&data, division, &community_train, config);
+    let (community_model, _) =
+        train_communities(&data, division, train, config).expect("some community is labeled");
     let agg = community_model.predict_all(&data, division, config);
     let edge_model = EdgeClassifier::train(data.graph, division, &agg, train, &config.lr);
     let expected = (0..data.graph.num_edges())
@@ -105,12 +95,12 @@ fn fixture() -> &'static SwapFixture {
         let data = world.dataset();
 
         // Two genuinely different divisions of the same world.
-        let division_a = LocecPipeline::new(config.clone()).divide_only(&data);
+        let division_a = divide(data.graph, &config);
         let lp_config = LocecConfig {
             detector: CommunityDetector::LabelPropagation,
             ..config.clone()
         };
-        let division_b = LocecPipeline::new(lp_config).divide_only(&data);
+        let division_b = divide(data.graph, &lp_config);
 
         // Train once (on division A's labels) and score both divisions
         // offline with the same models — exactly what the daemon serves
@@ -155,13 +145,7 @@ fn fixture() -> &'static SwapFixture {
             division_a.num_communities() as u64,
             division_b.num_communities() as u64,
         ];
-        let assets = locec_serve::epoch::ServeAssets {
-            community_model,
-            edge_model,
-            k: config.k,
-            row_order: config.row_order,
-            seed: config.seed,
-        };
+        let assets = ServeAssets::new(community_model, edge_model, &config);
         let server = Server::bind(world, assets, division_a, "127.0.0.1:0").expect("bind daemon");
         let addr = server.local_addr().expect("local addr").to_string();
         // The daemon outlives all cases; the thread is deliberately

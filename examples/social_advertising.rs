@@ -10,9 +10,11 @@
 //! ```
 
 use locec::core::advertising::{run_campaign, AdCategory, AdConfig, Targeting};
+use locec::core::phase1::divide;
+use locec::core::phase2::CommunityClassifier;
 use locec::core::phase3::EdgeClassifier;
 use locec::core::pipeline::split_edges;
-use locec::core::{community_ground_truth, CommunityModelKind, LocecConfig, LocecPipeline};
+use locec::core::{community_ground_truth, CommunityModelKind, LocecConfig};
 use locec::graph::EdgeId;
 use locec::synth::types::RelationType;
 use locec::synth::{Scenario, SynthConfig};
@@ -32,8 +34,7 @@ fn main() {
         community_model: CommunityModelKind::Xgb,
         ..LocecConfig::default()
     };
-    let pipeline = LocecPipeline::new(config.clone());
-    let division = pipeline.divide_only(&data);
+    let division = divide(data.graph, &config);
     let labeled = data.labeled_edges_sorted();
     let (train, _) = split_edges(&labeled, 0.8, 1);
     let train_map: HashMap<EdgeId, RelationType> = train.iter().copied().collect();
@@ -43,7 +44,8 @@ fn main() {
         &train_map,
         config.community_label_min_coverage,
     );
-    let agg = pipeline.aggregate_only(&data, &division, &communities);
+    let agg = CommunityClassifier::train(&data, &division, &communities, &config)
+        .predict_all(&data, &division, &config);
     let classifier = EdgeClassifier::train(data.graph, &division, &agg, &train, &config.lr);
     let predictions: HashMap<EdgeId, RelationType> = data
         .graph

@@ -489,6 +489,30 @@ fn cli_reports_typed_errors_without_panicking() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--world needs a value"));
 
+    // A repeated option is rejected, not silently overridden by the later
+    // value.
+    let out = Command::new(bin())
+        .current_dir(&dir)
+        .args([
+            "divide",
+            "--world",
+            "w.lsnap",
+            "--out",
+            "d.lsnap",
+            "--threads",
+            "2",
+            "--threads",
+            "1",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--threads given more than once"),
+        "{stderr}"
+    );
+
     // Mode-specific divide flags are rejected, never silently ignored.
     let out = Command::new(bin())
         .current_dir(&dir)
@@ -542,6 +566,30 @@ fn cli_reports_typed_errors_without_panicking() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("expected a division snapshot"));
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn help_lists_every_verb() {
+    let usage = run(&std::env::temp_dir(), &["help"]);
+    for verb in [
+        "synth",
+        "divide",
+        "coordinate",
+        "worker",
+        "evolve",
+        "aggregate",
+        "train",
+        "classify",
+        "serve",
+        "inspect",
+        "lint",
+        "report-check",
+    ] {
+        assert!(
+            usage.contains(&format!("\n  locec {verb} ")),
+            "help omits {verb}"
+        );
+    }
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! on the experiments' own `Check`s in `crates/bench/tests/paper_shapes.rs`.
 
 use locec::core::advertising::{run_campaign, AdCategory, AdConfig, Targeting};
-use locec::core::{LocecConfig, LocecPipeline};
+use locec::core::phase1::divide;
+use locec::core::LocecConfig;
 use locec::graph::EdgeId;
 use locec::synth::types::RelationType;
 use locec::synth::{Scenario, SynthConfig};
@@ -22,8 +23,7 @@ fn fig13_shape_family_communities_are_smaller() {
     // smaller than colleague communities. Checked on oracle composition.
     let s = scenario();
     let config = LocecConfig::fast();
-    let pipeline = LocecPipeline::new(config);
-    let division = pipeline.divide_only(&s.dataset());
+    let division = divide(&s.graph, &config);
 
     let mut size_sum = [0.0f64; 3];
     let mut n = [0usize; 3];

@@ -3,7 +3,7 @@
 
 use locec::community::{girvan_newman, modularity, GirvanNewmanConfig, Partition};
 use locec::core::features::tightness;
-use locec::core::{LocecConfig, LocecPipeline};
+use locec::core::LocecConfig;
 use locec::graph::{
     connected_components, CsrGraph, EgoNetwork, GraphBuilder, MutableGraph, NodeId,
 };
@@ -219,8 +219,7 @@ proptest! {
         config.num_users = 120;
         config.surveyed_users = 20;
         let s = Scenario::generate(&config);
-        let pipeline = LocecPipeline::new(LocecConfig { threads: 2, ..LocecConfig::fast() });
-        let division = pipeline.divide_only(&s.dataset());
+        let division = phase1::divide(&s.graph, &LocecConfig { threads: 2, ..LocecConfig::fast() });
         for (_, u, v) in s.graph.edges() {
             prop_assert!(division.community_of(&s.graph, u, v).is_some());
             prop_assert!(division.community_of(&s.graph, v, u).is_some());
