@@ -10,6 +10,13 @@
 //! the only mutator of queue/merge state, so there is no shared-state
 //! locking beyond the channel and the shard gate.
 //!
+//! Each piece of run state lives in one place. The worker table holds a
+//! worker's write half (gone once the worker is cut off), its last
+//! heartbeat and its last metrics block; the work queue holds each lease,
+//! grant time included; the coordinator's one [`FaultyTransport`] meters
+//! every frame it writes and its readers receive; and the
+//! [`CoordinateStats`] run record is filled from these as the run ends.
+//!
 //! ## Streaming merge and the shard gate
 //!
 //! Shard results are spliced into the growing division the moment they
@@ -23,19 +30,21 @@
 //!
 //! ## Failure semantics
 //!
-//! A worker that disconnects or misses its lease deadline (heartbeats
-//! refresh it) has its leases re-queued at the front of the work queue and
-//! its socket shut down; a worker whose heartbeats report it *idle* while
-//! it nominally holds a lease lost that lease (or its result) in transit,
-//! and the task is re-queued without waiting out the deadline. A
+//! A worker that disconnects, misses its lease deadline (heartbeats
+//! refresh it), delivers a bad result or fails a write is cut off through
+//! one path: its socket is shut down and its leases are re-queued at the
+//! front of the work queue. A worker whose heartbeats report it *idle*
+//! while it nominally holds a lease lost that lease (or its result) in
+//! transit, and the task is re-queued without waiting out the deadline. A
 //! reconnecting worker presents its prior worker id and this run's nonce,
-//! so its dead incarnation's leases are re-queued immediately. Re-queues
-//! can race a slow delivery, so absorption is idempotent: results are
-//! deduped by task, then by ego range inside the merge. If the coordinator
-//! spawned local workers, dead ones are respawned from a bounded budget;
-//! when the budget is exhausted and no worker remains, coordination fails
-//! with a typed error carrying each worker's last-known state instead of
-//! hanging.
+//! so its dead incarnation is cut off and its leases re-queued at once.
+//! Re-queues can race a slow delivery, so absorption is idempotent: a
+//! result for a task already absorbed is dropped and counted before it
+//! reaches the merge, which itself never absorbs a range twice. If the
+//! coordinator spawned local workers, dead ones are respawned from a
+//! bounded budget; when the budget is exhausted and no worker remains,
+//! coordination fails with a typed error carrying each worker's
+//! last-known state instead of hanging.
 //!
 //! ## Checkpoint-resume
 //!
@@ -48,7 +57,7 @@
 //! parameters are cross-checked so a resume under a different
 //! configuration is a typed error, never a silently mixed division.
 
-use crate::fault::{splitmix64, FaultPlan, FaultyTransport, TransportMeter};
+use crate::fault::{splitmix64, FaultPlan, FaultyTransport};
 use crate::frame::{read_header, read_payload, write_frame, FrameType};
 use crate::protocol::{
     decode_heartbeat, decode_hello, decode_shard_result, encode_lease, encode_reject,
@@ -74,14 +83,12 @@ use std::sync::mpsc::{RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// How to launch a local worker process: `program [args…] worker
-/// --connect ADDR [worker_args…]`.
+/// How to launch a local worker process: `program worker --connect ADDR
+/// [worker_args…]`.
 #[derive(Clone, Debug)]
 pub struct WorkerSpawn {
     /// The binary to execute (normally `std::env::current_exe()`).
     pub program: PathBuf,
-    /// Arguments inserted before the `worker` subcommand.
-    pub args: Vec<String>,
     /// Arguments appended after `worker --connect ADDR` — how spawned
     /// workers get their own `--fault-plan`, `--secret` or retry flags.
     pub worker_args: Vec<String>,
@@ -162,8 +169,12 @@ impl CoordinateConfig {
     }
 }
 
-/// Counters describing one coordination run.
-#[derive(Clone, Copy, Debug, Default)]
+/// The record of one coordination run — everything the `--report` JSON's
+/// `cluster` and `workers` sections are built from. Worker blocks are the
+/// cumulative [`WorkerMetrics`] each worker last piggybacked on a
+/// Heartbeat or ShardResult frame, so the coordinator's view covers the
+/// fleet without extra round-trips.
+#[derive(Clone, Debug, Default)]
 pub struct CoordinateStats {
     /// Total tasks in the queue.
     pub tasks: u32,
@@ -181,32 +192,12 @@ pub struct CoordinateStats {
     pub checkpoints_written: u64,
     /// Wall-clock time of the run.
     pub wall: Duration,
-}
-
-/// What a successful coordination returns.
-pub struct CoordinateOutcome {
-    /// The merged division — bit-identical to a single-process
-    /// [`locec_core::phase1::divide`] of the same graph.
-    pub division: DivisionResult,
-    /// Run counters.
-    pub stats: CoordinateStats,
-    /// Observability data for the run report: per-worker metric blocks,
-    /// per-lease wall times, and the coordinator's own traffic meter.
-    pub obs: ClusterObs,
-}
-
-/// Coordinator-side observability of one run — everything the `--report`
-/// JSON's `cluster` section is built from. Worker blocks are the
-/// cumulative [`WorkerMetrics`] each worker last piggybacked on a
-/// Heartbeat or ShardResult frame, so the coordinator's view covers the
-/// fleet without extra round-trips.
-#[derive(Clone, Debug, Default)]
-pub struct ClusterObs {
     /// Last metrics block shipped by each worker, sorted by worker id.
     pub workers: Vec<(u64, WorkerMetrics)>,
     /// Per-lease wall time, lease grant → shard absorbed, tagged with the
-    /// worker the lease was granted to. Leases lost and redone elsewhere
-    /// time the *delivering* grant.
+    /// worker that delivered it. A task re-queued and redone elsewhere is
+    /// timed by the grant that delivers it; a result that arrives after
+    /// its lease was re-queued is absorbed untimed.
     pub lease_walls: Vec<(u64, u64)>,
     /// Total nanos the coordinator thread spent absorbing shards into the
     /// streaming merge.
@@ -225,6 +216,15 @@ pub struct ClusterObs {
     pub faults_fired: u64,
 }
 
+/// What a successful coordination returns.
+pub struct CoordinateOutcome {
+    /// The merged division — bit-identical to a single-process
+    /// [`locec_core::phase1::divide`] of the same graph.
+    pub division: DivisionResult,
+    /// The run record.
+    pub stats: CoordinateStats,
+}
+
 /// Events the accept/reader threads feed the coordinator.
 enum Event {
     Connected {
@@ -235,7 +235,6 @@ enum Event {
     Heartbeat {
         id: u64,
         busy: bool,
-        completed: u64,
         /// Boxed: the metrics block is several times the other variants.
         metrics: Box<WorkerMetrics>,
     },
@@ -251,13 +250,14 @@ enum Event {
     },
 }
 
-/// Last-known state of a worker, kept for stall diagnostics: when a run
-/// dies with [`ClusterError::Stalled`], the error says what each worker
-/// was last seen doing instead of just "no progress".
-struct WorkerDiag {
+/// One worker that completed a handshake this run. Entries outlive the
+/// connection, so a run that dies with [`ClusterError::Stalled`] says
+/// what each worker was last seen doing instead of just "no progress",
+/// and the run record keeps every worker's metrics block.
+struct Worker {
+    /// The coordinator's write half; `None` once the worker is cut off.
+    stream: Option<TcpStream>,
     last_heartbeat: Instant,
-    leases_completed: u64,
-    connected: bool,
     /// Last cumulative metrics block this worker shipped (heartbeats and
     /// shard results both carry one; last value wins).
     metrics: WorkerMetrics,
@@ -305,10 +305,6 @@ impl Gate {
         st.1 = true;
         self.cv.notify_all();
     }
-}
-
-struct WorkerConn {
-    stream: TcpStream,
 }
 
 /// A bound coordinator: the listener is live (so workers can already
@@ -449,9 +445,7 @@ impl Coordinator {
                 WorldPayload::Path(p.to_string_lossy().into_owned())
             },
         };
-        let meter = Arc::new(TransportMeter::new());
-        let transport =
-            FaultyTransport::from_plan(self.cfg.fault_plan.clone()).with_meter(Arc::clone(&meter));
+        let transport = FaultyTransport::new(self.cfg.fault_plan.clone());
         let checkpoint_path = self.cfg.checkpoint.clone();
         let checkpoint_every = self.cfg.checkpoint_every;
         let mut last_checkpoint: Option<Instant> = None;
@@ -461,13 +455,15 @@ impl Coordinator {
         let stop = Arc::new(AtomicBool::new(false));
         let accept_handle = spawn_accept_thread(
             self.listener.try_clone()?,
-            tx.clone(),
-            Arc::clone(&gate),
             Arc::clone(&stop),
             Arc::clone(&self.next_worker_id),
-            hb_interval,
-            Arc::new(self.cfg.secret.clone()),
-            Arc::clone(&meter),
+            ReaderCtx {
+                tx,
+                gate: Arc::clone(&gate),
+                hb_interval,
+                secret: self.cfg.secret.clone(),
+                transport: transport.clone(),
+            },
         )?;
 
         let spawner = self.cfg.spawn.clone();
@@ -477,9 +473,7 @@ impl Coordinator {
             tasks: queue.task_count(),
             ..CoordinateStats::default()
         };
-        let mut workers: HashMap<u64, WorkerConn> = HashMap::new();
-        let mut diag: HashMap<u64, WorkerDiag> = HashMap::new();
-        let mut obs = RunObs::default();
+        let mut workers: HashMap<u64, Worker> = HashMap::new();
         let mut last_progress = Instant::now();
         let mut last_ping = Instant::now();
         let lease_timeout = self.cfg.lease_timeout;
@@ -517,12 +511,7 @@ impl Coordinator {
                                 && hello.prior_worker_id != id
                                 && hello.run_nonce == run_nonce
                             {
-                                fail_worker(
-                                    hello.prior_worker_id,
-                                    &mut workers,
-                                    &mut queue,
-                                    &mut diag,
-                                );
+                                fail_worker(hello.prior_worker_id, &mut workers, &mut queue);
                                 stats.reconnects += 1;
                                 locec_obs::log::warn(
                                     "coordinator",
@@ -543,13 +532,11 @@ impl Coordinator {
                                 .write_frame(&mut s, FrameType::Welcome, &encode_welcome(&welcome))
                                 .is_ok()
                             {
-                                workers.insert(id, WorkerConn { stream: s });
-                                diag.insert(
+                                workers.insert(
                                     id,
-                                    WorkerDiag {
+                                    Worker {
+                                        stream: Some(s),
                                         last_heartbeat: Instant::now(),
-                                        leases_completed: 0,
-                                        connected: true,
                                         metrics: WorkerMetrics::default(),
                                     },
                                 );
@@ -564,17 +551,11 @@ impl Coordinator {
                                 );
                             }
                         }
-                        Event::Heartbeat {
-                            id,
-                            busy,
-                            completed,
-                            metrics,
-                        } => {
+                        Event::Heartbeat { id, busy, metrics } => {
                             let lost = queue.heartbeat(id, busy, Instant::now(), lease_timeout);
-                            if let Some(d) = diag.get_mut(&id) {
-                                d.last_heartbeat = Instant::now();
-                                d.leases_completed = completed;
-                                d.metrics = *metrics;
+                            if let Some(w) = workers.get_mut(&id) {
+                                w.last_heartbeat = Instant::now();
+                                w.metrics = *metrics;
                             }
                             if lost > 0 {
                                 locec_obs::log::warn(
@@ -589,8 +570,12 @@ impl Coordinator {
                         }
                         Event::Result { id, payload } => {
                             let outcome = process_result(
-                                &payload, id, &mut queue, &mut merge, &mut stats, &mut diag,
-                                &mut obs,
+                                &payload,
+                                id,
+                                &mut queue,
+                                &mut merge,
+                                &mut stats,
+                                &mut workers,
                             );
                             gate.release();
                             match outcome {
@@ -612,26 +597,21 @@ impl Coordinator {
                                         "dropping worker over a bad result",
                                         &[("worker", &id.to_string()), ("error", &e.to_string())],
                                     );
-                                    fail_worker(id, &mut workers, &mut queue, &mut diag);
+                                    fail_worker(id, &mut workers, &mut queue);
                                 }
                             }
                         }
                         Event::Disconnected { id } => {
-                            if workers.remove(&id).is_some() {
-                                if let Some(d) = diag.get_mut(&id) {
-                                    d.connected = false;
-                                }
-                                let requeued = queue.requeue_worker(id);
-                                if requeued > 0 {
-                                    locec_obs::log::warn(
-                                        "coordinator",
-                                        "worker disconnected; re-queued its leases",
-                                        &[
-                                            ("worker", &id.to_string()),
-                                            ("requeued", &requeued.to_string()),
-                                        ],
-                                    );
-                                }
+                            let requeued = fail_worker(id, &mut workers, &mut queue);
+                            if requeued > 0 {
+                                locec_obs::log::warn(
+                                    "coordinator",
+                                    "worker disconnected; re-queued its leases",
+                                    &[
+                                        ("worker", &id.to_string()),
+                                        ("requeued", &requeued.to_string()),
+                                    ],
+                                );
                             }
                         }
                     }
@@ -648,10 +628,11 @@ impl Coordinator {
                         "worker missed its lease deadline",
                         &[("worker", &id.to_string())],
                     );
-                    fail_worker(id, &mut workers, &mut queue, &mut diag);
+                    fail_worker(id, &mut workers, &mut queue);
                 }
 
                 // Keep the local fleet at strength (bounded respawn budget).
+                let none_connected = workers.values().all(|w| w.stream.is_none());
                 if let Some(spawn) = &spawner {
                     children.retain_mut(|c| matches!(c.try_wait(), Ok(None)));
                     if children.len() < self.cfg.local_workers && stats.respawns < MAX_RESPAWNS {
@@ -659,18 +640,18 @@ impl Coordinator {
                         stats.respawns += 1;
                         locec_obs::log::debug("coordinator", "respawned a local worker", &[]);
                     }
-                    if children.is_empty() && workers.is_empty() {
+                    if children.is_empty() && none_connected {
                         return Err(ClusterError::Stalled(stall_report(
                             "every local worker died and the respawn budget is spent",
-                            &diag,
+                            &workers,
                             &queue,
                         )));
                     }
                 }
-                if workers.is_empty() && last_progress.elapsed() > self.cfg.stall_timeout {
+                if none_connected && last_progress.elapsed() > self.cfg.stall_timeout {
                     return Err(ClusterError::Stalled(stall_report(
                         &format!("no worker connected for {:?}", self.cfg.stall_timeout),
-                        &diag,
+                        &workers,
                         &queue,
                     )));
                 }
@@ -682,31 +663,33 @@ impl Coordinator {
                 // usual sign of a dead peer.
                 if last_ping.elapsed() >= hb_interval {
                     last_ping = Instant::now();
-                    let ids: Vec<u64> = workers.keys().copied().collect();
-                    for id in ids {
-                        let Some(conn) = workers.get_mut(&id) else {
-                            continue;
-                        };
-                        if transport
-                            .write_frame(&mut conn.stream, FrameType::Heartbeat, &[])
-                            .is_err()
-                        {
-                            fail_worker(id, &mut workers, &mut queue, &mut diag);
-                        }
+                    let unreachable: Vec<u64> = workers
+                        .iter_mut()
+                        .filter_map(|(&id, w)| {
+                            let stream = w.stream.as_mut()?;
+                            let sent = transport.write_frame(stream, FrameType::Heartbeat, &[]);
+                            sent.is_err().then_some(id)
+                        })
+                        .collect();
+                    for id in unreachable {
+                        fail_worker(id, &mut workers, &mut queue);
                     }
                 }
 
                 // Hand pending work to idle workers; a failed send means the
                 // worker is gone.
                 let idle: Vec<u64> = workers
-                    .keys()
-                    .copied()
-                    .filter(|&id| !queue.worker_is_busy(id))
+                    .iter()
+                    .filter(|&(&id, w)| w.stream.is_some() && !queue.worker_is_busy(id))
+                    .map(|(&id, _)| id)
                     .collect();
                 for id in idle {
                     if !queue.has_pending() {
                         break;
                     }
+                    let Some(stream) = workers.get_mut(&id).and_then(|w| w.stream.as_mut()) else {
+                        continue;
+                    };
                     let Some((lease_id, task)) =
                         queue.lease_next(id, Instant::now(), lease_timeout)
                     else {
@@ -719,22 +702,11 @@ impl Coordinator {
                         ego_start: task.start,
                         ego_end: task.end,
                     };
-                    let Some(conn) = workers.get_mut(&id) else {
-                        // Can't happen (idle ids come from the map), but if
-                        // it ever did, give the lease back instead of letting
-                        // it dangle until the timeout sweep.
-                        queue.requeue_worker(id);
-                        continue;
-                    };
                     if transport
-                        .write_frame(&mut conn.stream, FrameType::Lease, &encode_lease(&lease))
+                        .write_frame(stream, FrameType::Lease, &encode_lease(&lease))
                         .is_err()
                     {
-                        fail_worker(id, &mut workers, &mut queue, &mut diag);
-                    } else {
-                        // A regrant of a lost lease restarts the wall clock:
-                        // the lease that finally delivers is the one timed.
-                        obs.lease_started.insert(lease_id, (id, Instant::now()));
+                        fail_worker(id, &mut workers, &mut queue);
                     }
                 }
             }
@@ -746,9 +718,9 @@ impl Coordinator {
         stop.store(true, Ordering::SeqCst);
         wake_accept(self.addr);
         gate.close();
-        for (_, conn) in workers.iter_mut() {
-            let _ = transport.write_frame(&mut conn.stream, FrameType::Shutdown, &[]);
-            let _ = conn.stream.shutdown(Shutdown::Both);
+        for stream in workers.values_mut().filter_map(|w| w.stream.as_mut()) {
+            let _ = transport.write_frame(stream, FrameType::Shutdown, &[]);
+            let _ = stream.shutdown(Shutdown::Both);
         }
         let _ = accept_handle.join();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -771,23 +743,16 @@ impl Coordinator {
 
         run_result?;
         stats.requeues = queue.requeues();
-        stats.duplicates_dropped += merge.duplicates_dropped();
         stats.wall = started.elapsed();
-
-        let mut worker_blocks: Vec<(u64, WorkerMetrics)> =
-            diag.iter().map(|(&id, d)| (id, d.metrics)).collect();
-        worker_blocks.sort_unstable_by_key(|&(id, _)| id);
-        let cluster_obs = ClusterObs {
-            workers: worker_blocks,
-            lease_walls: obs.lease_walls,
-            merge_nanos: obs.merge_nanos,
-            frames_sent: meter.frames_sent(),
-            frames_received: meter.frames_received(),
-            frames_dropped: meter.frames_dropped(),
-            bytes_sent: meter.bytes_sent(),
-            bytes_received: meter.bytes_received(),
-            faults_fired: transport.faults_fired(),
-        };
+        stats.workers = workers.iter().map(|(&id, w)| (id, w.metrics)).collect();
+        stats.workers.sort_unstable_by_key(|&(id, _)| id);
+        let meter = transport.meter();
+        stats.frames_sent = meter.frames_sent();
+        stats.frames_received = meter.frames_received();
+        stats.frames_dropped = meter.frames_dropped();
+        stats.bytes_sent = meter.bytes_sent();
+        stats.bytes_received = meter.bytes_received();
+        stats.faults_fired = transport.faults_fired();
         // Mirror the run counters into the process-global recorder so a
         // host embedding the coordinator (the CLI, the bench) sees them in
         // its metrics snapshot alongside the pipeline counters.
@@ -802,55 +767,42 @@ impl Coordinator {
             .add(stats.duplicates_dropped);
         recorder
             .counter("cluster.faults_fired")
-            .add(cluster_obs.faults_fired);
+            .add(stats.faults_fired);
 
         let division = merge.finish(self.cfg.divide.threads)?;
-        Ok(CoordinateOutcome {
-            division,
-            stats,
-            obs: cluster_obs,
-        })
+        Ok(CoordinateOutcome { division, stats })
     }
-}
-
-/// In-flight observability state of one `run()`: lease grant times keyed
-/// by lease id, completed lease walls, and merge time.
-#[derive(Default)]
-struct RunObs {
-    lease_started: HashMap<u64, (u64, Instant)>,
-    lease_walls: Vec<(u64, u64)>,
-    merge_nanos: u64,
 }
 
 /// Renders a stall into a diagnosis: overall task progress plus each
 /// worker's last-known state (heartbeat age, completed leases, outstanding
 /// ranges) — the difference between "it hung" and "worker #2 went silent
 /// holding [250, 500)".
-fn stall_report(reason: &str, diag: &HashMap<u64, WorkerDiag>, queue: &WorkQueue) -> String {
+fn stall_report(reason: &str, workers: &HashMap<u64, Worker>, queue: &WorkQueue) -> String {
     use std::fmt::Write as _;
     let done = (0..queue.task_count())
         .filter(|&t| queue.is_done(t))
         .count();
     let mut s = format!("{reason}; tasks {done}/{} absorbed", queue.task_count());
-    let mut ids: Vec<u64> = diag.keys().copied().collect();
+    let mut ids: Vec<u64> = workers.keys().copied().collect();
     ids.sort_unstable();
     for id in ids {
-        let Some(d) = diag.get(&id) else { continue };
+        let Some(w) = workers.get(&id) else { continue };
         let _ = write!(s, "; worker #{id}: ");
-        if d.connected {
+        if w.stream.is_some() {
             let _ = write!(
                 s,
                 "last heartbeat {:.1}s ago",
-                d.last_heartbeat.elapsed().as_secs_f64()
+                w.last_heartbeat.elapsed().as_secs_f64()
             );
         } else {
             s.push_str("disconnected");
         }
-        let _ = write!(s, ", {} lease(s) completed", d.leases_completed);
         // The worker's own cumulative metrics block tells the difference
         // between "never started", "computing but not delivering" and
         // "delivering into a faulty wire".
-        let m = &d.metrics;
+        let m = &w.metrics;
+        let _ = write!(s, ", {} lease(s) completed", m.leases_completed);
         let _ = write!(
             s,
             ", {} egos divided, compute {}ms, wire {}ms",
@@ -896,28 +848,26 @@ fn write_checkpoint(
 
 /// Validates and absorbs one delivered shard. Any error means the sending
 /// worker is misbehaving and should be dropped (its work is re-queued).
-#[allow(clippy::too_many_arguments)]
 fn process_result(
     payload: &[u8],
     id: u64,
     queue: &mut WorkQueue,
     merge: &mut IncrementalMerge<'_>,
     stats: &mut CoordinateStats,
-    diag: &mut HashMap<u64, WorkerDiag>,
-    obs: &mut RunObs,
+    workers: &mut HashMap<u64, Worker>,
 ) -> Result<(), ClusterError> {
     let msg = decode_shard_result(payload)?;
     // The result carries the sender's cumulative metrics block — fresher
     // than any heartbeat, since it was built after this very lease.
-    if let Some(d) = diag.get_mut(&id) {
-        d.metrics = msg.metrics;
+    if let Some(w) = workers.get_mut(&id) {
+        w.metrics = msg.metrics;
     }
-    let lease_task = queue.remove_lease(msg.lease_id);
+    let lease = queue.remove_lease(msg.lease_id);
     let shard = match shard_from_bytes(&msg.shard_bytes) {
         Ok(s) => s,
         Err(e) => {
             // The worker's lease is gone; put the work back first.
-            if let Some(task) = lease_task {
+            if let Some((task, _)) = lease {
                 queue.requeue_task(task);
             }
             return Err(e.into());
@@ -929,7 +879,7 @@ fn process_result(
         || queue.task(task).start != shard.ego_start
         || queue.task(task).end != shard.ego_end
     {
-        if let Some(t) = lease_task {
+        if let Some((t, _)) = lease {
             queue.requeue_task(t);
         }
         return Err(ClusterError::Protocol(
@@ -938,23 +888,22 @@ fn process_result(
     }
     if queue.is_done(task) {
         // A re-queued lease already delivered this range.
-        obs.lease_started.remove(&msg.lease_id);
         stats.duplicates_dropped += 1;
         return Ok(());
     }
     let t_merge = Instant::now();
     let absorbed = merge.absorb(shard);
     let merge_nanos = saturating_nanos(t_merge);
-    obs.merge_nanos = obs.merge_nanos.saturating_add(merge_nanos);
+    stats.merge_nanos = stats.merge_nanos.saturating_add(merge_nanos);
     locec_obs::Recorder::global()
         .histogram("cluster.merge_nanos")
         .record(merge_nanos);
     match absorbed {
         Ok(_) => {
             queue.mark_done(task);
-            if let Some((worker, t0)) = obs.lease_started.remove(&msg.lease_id) {
-                let wall = saturating_nanos(t0);
-                obs.lease_walls.push((worker, wall));
+            if let Some((_, granted)) = lease {
+                let wall = saturating_nanos(granted);
+                stats.lease_walls.push((id, wall));
                 locec_obs::Recorder::global()
                     .histogram("cluster.lease_wall_nanos")
                     .record(wall);
@@ -968,24 +917,18 @@ fn process_result(
     }
 }
 
-fn fail_worker(
-    id: u64,
-    workers: &mut HashMap<u64, WorkerConn>,
-    queue: &mut WorkQueue,
-    diag: &mut HashMap<u64, WorkerDiag>,
-) {
-    if let Some(conn) = workers.remove(&id) {
-        let _ = conn.stream.shutdown(Shutdown::Both);
+/// Cuts a worker off — it disconnected, missed its lease deadline, sent a
+/// bad result or failed a write — and re-queues its leases. Returns how
+/// many were re-queued.
+fn fail_worker(id: u64, workers: &mut HashMap<u64, Worker>, queue: &mut WorkQueue) -> usize {
+    if let Some(stream) = workers.get_mut(&id).and_then(|w| w.stream.take()) {
+        let _ = stream.shutdown(Shutdown::Both);
     }
-    if let Some(d) = diag.get_mut(&id) {
-        d.connected = false;
-    }
-    queue.requeue_worker(id);
+    queue.requeue_worker(id)
 }
 
 fn spawn_local_worker(spawn: &WorkerSpawn, addr: SocketAddr) -> Result<Child, ClusterError> {
     Ok(Command::new(&spawn.program)
-        .args(&spawn.args)
         .arg("worker")
         .arg("--connect")
         .arg(addr.to_string())
@@ -996,19 +939,26 @@ fn spawn_local_worker(spawn: &WorkerSpawn, addr: SocketAddr) -> Result<Child, Cl
         .spawn()?)
 }
 
+/// What every connection's reader thread shares with the coordinator.
+#[derive(Clone)]
+struct ReaderCtx {
+    tx: Sender<Event>,
+    gate: Arc<Gate>,
+    hb_interval: Duration,
+    secret: Option<String>,
+    /// The coordinator's transport, whose meter counts what readers
+    /// receive.
+    transport: FaultyTransport,
+}
+
 /// Accepts connections until the stop flag flips, spawning one reader
 /// thread per worker. `accept` blocks; teardown sets the flag and then
 /// calls [`wake_accept`], so the thread sees the flag and exits.
-#[allow(clippy::too_many_arguments)]
 fn spawn_accept_thread(
     listener: TcpListener,
-    tx: Sender<Event>,
-    gate: Arc<Gate>,
     stop: Arc<AtomicBool>,
     next_worker_id: Arc<AtomicU64>,
-    hb_interval: Duration,
-    secret: Arc<Option<String>>,
-    meter: Arc<TransportMeter>,
+    ctx: ReaderCtx,
 ) -> Result<std::thread::JoinHandle<()>, ClusterError> {
     let handle = std::thread::Builder::new()
         .name("locec-cluster-accept".into())
@@ -1021,13 +971,10 @@ fn spawn_accept_thread(
             // skipped; the listener itself stays usable.
             if let Ok((stream, _)) = accepted {
                 let id = next_worker_id.fetch_add(1, Ordering::Relaxed);
-                let tx = tx.clone();
-                let gate = Arc::clone(&gate);
-                let secret = Arc::clone(&secret);
-                let meter = Arc::clone(&meter);
+                let ctx = ctx.clone();
                 let _ = std::thread::Builder::new()
                     .name(format!("locec-cluster-reader-{id}"))
-                    .spawn(move || reader_thread(stream, id, tx, gate, hb_interval, secret, meter));
+                    .spawn(move || reader_thread(stream, id, ctx));
             }
         })?;
     Ok(handle)
@@ -1051,16 +998,15 @@ pub fn wake_accept(mut addr: SocketAddr) {
 /// auth failures), then decode frames into events until the peer goes
 /// away. Shard payloads pass through the gate (see module docs) so at most
 /// one unmerged shard is ever in coordinator memory.
-#[allow(clippy::too_many_arguments)]
-fn reader_thread(
-    mut stream: TcpStream,
-    id: u64,
-    tx: Sender<Event>,
-    gate: Arc<Gate>,
-    hb_interval: Duration,
-    secret: Arc<Option<String>>,
-    meter: Arc<TransportMeter>,
-) {
+fn reader_thread(mut stream: TcpStream, id: u64, ctx: ReaderCtx) {
+    let ReaderCtx {
+        tx,
+        gate,
+        hb_interval,
+        secret,
+        transport,
+    } = ctx;
+    let meter = transport.meter();
     let _ = stream.set_nodelay(true);
     // Heartbeats arrive every hb_interval; a read this patient only
     // triggers for a peer that is wedged outright.
@@ -1106,7 +1052,7 @@ fn reader_thread(
         );
         return;
     }
-    if let Some(secret) = secret.as_ref() {
+    if let Some(secret) = &secret {
         let proven = hello.auth == AUTH_KEYED
             && hello.client_mac == handshake_mac(secret, "hello", hello.client_nonce);
         if !proven {
@@ -1147,7 +1093,6 @@ fn reader_thread(
                     .send(Event::Heartbeat {
                         id,
                         busy: info.busy,
-                        completed: info.leases_completed,
                         metrics: Box::new(info.metrics),
                     })
                     .is_err()

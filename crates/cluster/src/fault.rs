@@ -271,8 +271,8 @@ impl FaultClock {
 /// frames/bytes actually written, frames/bytes successfully read, and
 /// frames swallowed by injected drop/stall faults before reaching the
 /// wire. Indexed by `FrameType as u8` (slot 0 unused). Shared by
-/// `Arc` between a connection's reader and writer sides; all relaxed
-/// atomics, so metering never serializes frame I/O.
+/// every clone of its [`FaultyTransport`]; all relaxed atomics, so
+/// metering never serializes frame I/O.
 #[derive(Debug, Default)]
 pub struct TransportMeter {
     frames_sent: [AtomicU64; 8],
@@ -283,11 +283,6 @@ pub struct TransportMeter {
 }
 
 impl TransportMeter {
-    /// A zeroed meter.
-    pub fn new() -> TransportMeter {
-        TransportMeter::default()
-    }
-
     /// Counts one frame of `ft` with `payload_len` payload bytes written.
     pub fn record_send(&self, ft: FrameType, payload_len: usize) {
         self.frames_sent[ft as u8 as usize % 8].fetch_add(1, Ordering::Relaxed);
@@ -334,54 +329,29 @@ impl TransportMeter {
 }
 
 /// A frame reader/writer that consults an optional [`FaultClock`] before
-/// touching the wire and an optional [`TransportMeter`] after. With
-/// neither it is a zero-cost passthrough to
-/// [`frame::read_frame`]/[`frame::write_frame`].
+/// touching the wire and accounts every frame on its [`TransportMeter`]
+/// after. Without a plan it is a metered passthrough to
+/// [`frame::read_frame`]/[`frame::write_frame`]. Clones share the clock
+/// and the meter; the default injects nothing.
 #[derive(Clone, Debug, Default)]
 pub struct FaultyTransport {
     clock: Option<Arc<FaultClock>>,
-    meter: Option<Arc<TransportMeter>>,
+    meter: Arc<TransportMeter>,
 }
 
 impl FaultyTransport {
-    /// A transport that injects nothing.
-    pub fn passthrough() -> FaultyTransport {
-        FaultyTransport {
-            clock: None,
-            meter: None,
-        }
-    }
-
-    /// A transport driven by `plan` (or a passthrough for `None`).
-    pub fn from_plan(plan: Option<FaultPlan>) -> FaultyTransport {
+    /// A transport driven by `plan` (injecting nothing for `None`), with a
+    /// fresh meter.
+    pub fn new(plan: Option<FaultPlan>) -> FaultyTransport {
         FaultyTransport {
             clock: plan.map(|p| Arc::new(FaultClock::new(p))),
-            meter: None,
+            meter: Arc::default(),
         }
     }
 
-    /// Attaches a meter that all frame traffic is accounted against.
-    pub fn with_meter(mut self, meter: Arc<TransportMeter>) -> FaultyTransport {
-        self.meter = Some(meter);
-        self
-    }
-
-    fn meter_send(&self, ft: FrameType, payload_len: usize) {
-        if let Some(m) = &self.meter {
-            m.record_send(ft, payload_len);
-        }
-    }
-
-    fn meter_recv(&self, ft: FrameType, payload_len: usize) {
-        if let Some(m) = &self.meter {
-            m.record_recv(ft, payload_len);
-        }
-    }
-
-    fn meter_drop(&self, ft: FrameType) {
-        if let Some(m) = &self.meter {
-            m.record_drop(ft);
-        }
+    /// The traffic this transport (and every clone of it) has carried.
+    pub fn meter(&self) -> &TransportMeter {
+        &self.meter
     }
 
     /// Whether a `stall` fault has wedged this transport.
@@ -414,29 +384,29 @@ impl FaultyTransport {
     ) -> Result<(), ClusterError> {
         let Some(clock) = &self.clock else {
             frame::write_frame(w, ft, payload)?;
-            self.meter_send(ft, payload.len());
+            self.meter.record_send(ft, payload.len());
             return Ok(());
         };
         if clock.stalled() {
             // A stalled peer is alive but silent: every write vanishes.
             let _ = clock.next_fault(ft);
-            self.meter_drop(ft);
+            self.meter.record_drop(ft);
             return Ok(());
         }
         match clock.next_fault(ft) {
             None => {
                 frame::write_frame(w, ft, payload)?;
-                self.meter_send(ft, payload.len());
+                self.meter.record_send(ft, payload.len());
                 Ok(())
             }
             Some((FaultKind::Drop, _)) => {
-                self.meter_drop(ft);
+                self.meter.record_drop(ft);
                 Ok(())
             }
             Some((FaultKind::Delay(ms), _)) => {
                 std::thread::sleep(Duration::from_millis(ms));
                 frame::write_frame(w, ft, payload)?;
-                self.meter_send(ft, payload.len());
+                self.meter.record_send(ft, payload.len());
                 Ok(())
             }
             Some((FaultKind::Corrupt, mix)) => {
@@ -453,7 +423,7 @@ impl FaultyTransport {
                 w.write_all(&bytes).map_err(FrameError::Io)?;
                 w.flush().map_err(FrameError::Io)?;
                 // The damaged frame did hit the wire: count it as sent.
-                self.meter_send(ft, payload.len());
+                self.meter.record_send(ft, payload.len());
                 Ok(())
             }
             Some((FaultKind::Truncate, mix)) => {
@@ -470,7 +440,7 @@ impl FaultyTransport {
             )),
             Some((FaultKind::Stall, _)) => {
                 clock.set_stalled();
-                self.meter_drop(ft);
+                self.meter.record_drop(ft);
                 Ok(())
             }
         }
@@ -482,23 +452,23 @@ impl FaultyTransport {
     pub fn read_frame<R: Read>(&self, r: &mut R) -> Result<(FrameType, Vec<u8>), ClusterError> {
         let Some(clock) = &self.clock else {
             let (ft, payload) = frame::read_frame(r)?;
-            self.meter_recv(ft, payload.len());
+            self.meter.record_recv(ft, payload.len());
             return Ok((ft, payload));
         };
         loop {
             let (ft, payload) = frame::read_frame(r)?;
             match clock.next_fault(ft) {
                 None => {
-                    self.meter_recv(ft, payload.len());
+                    self.meter.record_recv(ft, payload.len());
                     return Ok((ft, payload));
                 }
                 Some((FaultKind::Drop, _)) => {
-                    self.meter_drop(ft);
+                    self.meter.record_drop(ft);
                     continue;
                 }
                 Some((FaultKind::Delay(ms), _)) => {
                     std::thread::sleep(Duration::from_millis(ms));
-                    self.meter_recv(ft, payload.len());
+                    self.meter.record_recv(ft, payload.len());
                     return Ok((ft, payload));
                 }
                 Some((FaultKind::Corrupt, _)) => {
@@ -514,7 +484,7 @@ impl FaultyTransport {
                 }
                 Some((FaultKind::Stall, _)) => {
                     clock.set_stalled();
-                    self.meter_recv(ft, payload.len());
+                    self.meter.record_recv(ft, payload.len());
                     return Ok((ft, payload));
                 }
             }
@@ -621,7 +591,7 @@ mod tests {
     #[test]
     fn corrupt_and_truncate_produce_the_matching_frame_errors() {
         let plan = FaultPlan::parse("shard-result:1:corrupt,lease:1:truncate", 9).unwrap();
-        let t = FaultyTransport::from_plan(Some(plan));
+        let t = FaultyTransport::new(Some(plan));
 
         // Corrupt: the written frame decodes as a checksum mismatch.
         let mut wire = Vec::new();
@@ -655,7 +625,7 @@ mod tests {
     #[test]
     fn drop_and_stall_swallow_frames_silently() {
         let plan = FaultPlan::parse("heartbeat:2:drop,shard-result:1:stall", 3).unwrap();
-        let t = FaultyTransport::from_plan(Some(plan));
+        let t = FaultyTransport::new(Some(plan));
         let mut wire = Vec::new();
         t.write_frame(&mut wire, FrameType::Heartbeat, b"").unwrap();
         let after_first = wire.len();
@@ -679,9 +649,9 @@ mod tests {
 
     #[test]
     fn meter_accounts_sends_drops_and_recvs() {
-        let meter = Arc::new(TransportMeter::new());
         let plan = FaultPlan::parse("heartbeat:2:drop,lease:1:drop", 11).unwrap();
-        let t = FaultyTransport::from_plan(Some(plan)).with_meter(Arc::clone(&meter));
+        let t = FaultyTransport::new(Some(plan));
+        let meter = t.meter();
 
         let mut wire = Vec::new();
         t.write_frame(&mut wire, FrameType::Heartbeat, b"hb")
@@ -712,9 +682,9 @@ mod tests {
         assert_eq!(meter.frames_received()[le], 1);
         assert_eq!(meter.bytes_received(), 4);
 
-        // A passthrough with a meter still accounts traffic.
-        let meter2 = Arc::new(TransportMeter::new());
-        let p = FaultyTransport::passthrough().with_meter(Arc::clone(&meter2));
+        // A transport without a plan still accounts traffic.
+        let p = FaultyTransport::new(None);
+        let meter2 = p.meter();
         let mut wire = Vec::new();
         p.write_frame(&mut wire, FrameType::Hello, b"hi").unwrap();
         let mut r = wire.as_slice();
@@ -735,7 +705,7 @@ mod tests {
         frame::write_frame(&mut wire, FrameType::Lease, b"c").unwrap();
 
         let plan = FaultPlan::parse("lease:1:drop,lease:3:disconnect", 5).unwrap();
-        let t = FaultyTransport::from_plan(Some(plan));
+        let t = FaultyTransport::new(Some(plan));
         let mut r = wire.as_slice();
         assert_eq!(
             t.read_frame(&mut r).unwrap(),

@@ -17,11 +17,12 @@
 //! carries a heartbeat-refreshed deadline, and a worker that disconnects
 //! or stops heartbeating has its ranges re-queued for the surviving
 //! workers. Because re-queues can race a slow delivery, shard absorption
-//! is idempotent — duplicate results are deduped by ego range
-//! ([`locec_store::IncrementalMerge`]). Shards are merged the moment they
-//! arrive (a single-permit gate keeps at most one unmerged shard in
-//! coordinator memory), and the final division snapshot is byte-identical
-//! to a single-process `locec divide` of the same world.
+//! is idempotent — a result for an already-absorbed task is dropped, and
+//! the merge ([`locec_store::IncrementalMerge`]) never absorbs an ego
+//! range twice. Shards are merged the moment they arrive (a single-permit
+//! gate keeps at most one unmerged shard in coordinator memory), and the
+//! final division snapshot is byte-identical to a single-process
+//! `locec divide` of the same world.
 //!
 //! On top of that sits the robustness layer:
 //!
@@ -50,7 +51,7 @@ pub mod queue;
 pub mod worker;
 
 pub use coordinator::{
-    ClusterObs, CoordinateConfig, CoordinateOutcome, CoordinateStats, Coordinator, WorkerSpawn,
+    CoordinateConfig, CoordinateOutcome, CoordinateStats, Coordinator, WorkerSpawn,
 };
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultyTransport, TransportMeter};
 pub use frame::FrameError;

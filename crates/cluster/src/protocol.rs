@@ -12,7 +12,7 @@
 //!                            server mac, n, params, world path|bytes}
 //!                       ◀──  (or Reject{reason} and hang up)
 //!                       ◀──  Lease{lease_id, task i/T, egos [s, e)}
-//!   Heartbeat{busy, done} ──▶      (periodic, from a side thread)
+//!   Heartbeat{busy, metrics} ──▶   (periodic, from a side thread)
 //!   ShardResult{id, …}  ──▶
 //!                       ◀──  Lease … (repeat until the queue drains)
 //!                       ◀──  Shutdown
@@ -39,6 +39,11 @@
 //! type: per-frame-type send/receive/drop counters, byte totals,
 //! compute-vs-wire nanoseconds, egos divided, reconnects and faults
 //! fired, all as observed by the worker itself.
+//!
+//! Protocol revision 4 drops the completed-lease count that `Heartbeat`
+//! carried ahead of its metrics block since revision 2: the block's
+//! [`WorkerMetrics::leases_completed`] is the same number, and unlike the
+//! separate field a `ShardResult` refreshes it too.
 
 use crate::fault::splitmix64;
 use crate::ClusterError;
@@ -47,7 +52,7 @@ use locec_store::format::{Dec, Enc};
 use std::fmt;
 
 /// The protocol revision both sides must agree on.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// `Hello.auth`: no shared secret; the MAC fields are zero.
 pub const AUTH_NONE: u8 = 0;
@@ -258,9 +263,6 @@ pub struct HeartbeatInfo {
     /// that lease in transit (a dropped frame on either side); the
     /// coordinator requeues it without waiting for the lease deadline.
     pub busy: bool,
-    /// Leases the worker has completed this process — last-known-state
-    /// for stall diagnostics.
-    pub leases_completed: u64,
     /// The worker's cumulative self-observed metrics.
     pub metrics: WorkerMetrics,
 }
@@ -455,7 +457,6 @@ fn decode_worker_metrics(dec: &mut Dec<'_>) -> Result<WorkerMetrics, ClusterErro
 pub fn encode_heartbeat(h: &HeartbeatInfo) -> Vec<u8> {
     let mut enc = Enc::new();
     enc.u8(u8::from(h.busy));
-    enc.u64(h.leases_completed);
     encode_worker_metrics(&mut enc, &h.metrics);
     enc.finish()
 }
@@ -464,14 +465,9 @@ pub fn encode_heartbeat(h: &HeartbeatInfo) -> Vec<u8> {
 pub fn decode_heartbeat(payload: &[u8]) -> Result<HeartbeatInfo, ClusterError> {
     let mut dec = Dec::new(payload);
     let busy = dec.u8()? != 0;
-    let leases_completed = dec.u64()?;
     let metrics = decode_worker_metrics(&mut dec)?;
     dec.done()?;
-    Ok(HeartbeatInfo {
-        busy,
-        leases_completed,
-        metrics,
-    })
+    Ok(HeartbeatInfo { busy, metrics })
 }
 
 /// Encodes [`Lease`].
@@ -598,12 +594,10 @@ mod tests {
         for hb in [
             HeartbeatInfo {
                 busy: true,
-                leases_completed: 0,
                 metrics: WorkerMetrics::default(),
             },
             HeartbeatInfo {
                 busy: false,
-                leases_completed: 12,
                 metrics,
             },
         ] {

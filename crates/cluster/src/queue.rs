@@ -29,6 +29,8 @@ pub struct TaskRange {
 struct LeaseState {
     task: u32,
     worker: u64,
+    /// When the lease was handed out: the start of its wall time.
+    granted: Instant,
     deadline: Instant,
     /// A result frame for this lease is mid-transfer; suspend expiry so a
     /// slow merge gate cannot re-queue work that is already arriving.
@@ -126,6 +128,7 @@ impl WorkQueue {
             LeaseState {
                 task,
                 worker,
+                granted: now,
                 deadline: now + timeout,
                 result_in_flight: false,
                 idle_beats: 0,
@@ -140,7 +143,7 @@ impl WorkQueue {
     /// in transit — a dropped frame on either side — and the task is
     /// re-queued immediately instead of waiting out the deadline. Returns
     /// the number of re-queued tasks. (A false positive is harmless:
-    /// absorption dedupes by ego range.)
+    /// the coordinator drops a result for an already-absorbed task.)
     pub fn heartbeat(&mut self, worker: u64, busy: bool, now: Instant, timeout: Duration) -> usize {
         let mut lost = Vec::new();
         for (&id, l) in self.leases.iter_mut().filter(|(_, l)| l.worker == worker) {
@@ -191,10 +194,11 @@ impl WorkQueue {
         }
     }
 
-    /// Removes a delivered lease, returning its task (if the lease is still
-    /// live — a stale id from a re-queued lease returns `None`).
-    pub fn remove_lease(&mut self, lease_id: u64) -> Option<u32> {
-        self.leases.remove(&lease_id).map(|l| l.task)
+    /// Removes a delivered lease, returning its task and grant time (if
+    /// the lease is still live — a stale id from a re-queued lease returns
+    /// `None`).
+    pub fn remove_lease(&mut self, lease_id: u64) -> Option<(u32, Instant)> {
+        self.leases.remove(&lease_id).map(|l| (l.task, l.granted))
     }
 
     /// Whether a task's result has been absorbed.
@@ -204,20 +208,11 @@ impl WorkQueue {
 
     /// Marks a task done everywhere: drops it from the pending queue and
     /// cancels any other live lease on it (a re-queue raced the original
-    /// delivery). Returns the workers whose leases were cancelled, so the
-    /// coordinator can hand them new work.
-    pub fn mark_done(&mut self, task: u32) -> Vec<u64> {
+    /// delivery), which frees its holder for new work.
+    pub fn mark_done(&mut self, task: u32) {
         self.done[task as usize] = true;
         self.pending.retain(|&t| t != task);
-        let ids: Vec<u64> = self
-            .leases
-            .iter()
-            .filter(|(_, l)| l.task == task)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.into_iter()
-            .filter_map(|id| self.leases.remove(&id).map(|l| l.worker))
-            .collect()
+        self.leases.retain(|_, l| l.task != task);
     }
 
     /// Re-queues a still-pending task (e.g. after its delivered shard
@@ -266,11 +261,6 @@ impl WorkQueue {
         workers.dedup();
         workers
     }
-
-    /// Whether every task's result has been absorbed.
-    pub fn all_done(&self) -> bool {
-        self.done.iter().all(|&d| d)
-    }
 }
 
 #[cfg(test)]
@@ -292,7 +282,7 @@ mod tests {
             }
             assert_eq!(next as usize, n);
             if n == 0 {
-                assert!(q.all_done());
+                assert_eq!(q.task_count(), 0);
             }
         }
     }
@@ -308,11 +298,12 @@ mod tests {
         assert!(!q.has_pending());
         assert!(q.lease_next(9, now, T).is_none());
         for (id, task) in held {
-            let t = q.remove_lease(id).unwrap();
+            let (t, granted) = q.remove_lease(id).unwrap();
             assert_eq!(t, task.index);
-            assert!(q.mark_done(t).is_empty());
+            assert_eq!(granted, now);
+            q.mark_done(t);
         }
-        assert!(q.all_done());
+        assert!((0..4).all(|t| q.is_done(t)));
         assert_eq!(q.requeues(), 0);
     }
 
@@ -375,8 +366,9 @@ mod tests {
         assert_eq!(task.index, task2.index);
         // The original worker delivers anyway (stale lease id is gone).
         assert!(q.remove_lease(id1).is_none());
-        let cancelled = q.mark_done(task.index);
-        assert_eq!(cancelled, vec![2]);
+        assert!(q.worker_is_busy(2));
+        q.mark_done(task.index);
+        assert!(!q.worker_is_busy(2));
         assert!(q.remove_lease(id2).is_none());
         assert!(q.is_done(task.index));
         // requeue_task on a done task is a no-op.

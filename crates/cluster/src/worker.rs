@@ -8,7 +8,7 @@
 //! allows — and ships the result back as the exact
 //! shard snapshot bytes `locec divide --shard` would write. A side thread
 //! heartbeats on the interval the coordinator dictated (reporting whether
-//! the worker is busy and how many leases it has completed), so a long
+//! the worker is busy, plus its cumulative metrics), so a long
 //! divide never looks like a dead worker — and a lease lost on the wire
 //! shows up as an idle worker the coordinator can re-queue around.
 //!
@@ -28,7 +28,7 @@
 //! occurrences (the general replacement for the old
 //! `--fail-after-leases`/`--hang-after-leases` flags).
 
-use crate::fault::{splitmix64, FaultPlan, FaultyTransport, TransportMeter};
+use crate::fault::{splitmix64, FaultPlan, FaultyTransport};
 use crate::protocol::{
     decode_lease, decode_reject, decode_welcome, encode_heartbeat, encode_hello,
     encode_shard_result, handshake_mac, HeartbeatInfo, Hello, ShardResult, Welcome, WorkerMetrics,
@@ -103,12 +103,14 @@ pub struct WorkerOptions {
     pub retry: RetryPolicy,
 }
 
-/// Cumulative per-run metric state shared by the lease loop and the
-/// heartbeat thread. Deliberately **per run**, not process-global: a
-/// host running several in-process workers (the scaling bench, the
-/// chaos tests) must not blend their fleets' numbers.
+/// What the lease loop and the heartbeat thread share for a whole run:
+/// the transport (its fault clock and meter outlive reconnects) and the
+/// cumulative metric counters. Deliberately **per run**, not
+/// process-global: a host running several in-process workers (the scaling
+/// bench, the chaos tests) must not blend their fleets' numbers.
 #[derive(Debug, Default)]
-struct MetricsHub {
+struct Shared {
+    transport: FaultyTransport,
     egos_divided: AtomicU64,
     leases_completed: AtomicU64,
     compute_nanos: AtomicU64,
@@ -116,10 +118,11 @@ struct MetricsHub {
     reconnects: AtomicU64,
 }
 
-impl MetricsHub {
+impl Shared {
     /// The cumulative [`WorkerMetrics`] block shipped on every Heartbeat
     /// and ShardResult frame (last value wins at the coordinator).
-    fn snapshot(&self, meter: &TransportMeter, transport: &FaultyTransport) -> WorkerMetrics {
+    fn snapshot(&self) -> WorkerMetrics {
+        let meter = self.transport.meter();
         WorkerMetrics {
             egos_divided: self.egos_divided.load(Ordering::Relaxed),
             leases_completed: self.leases_completed.load(Ordering::Relaxed),
@@ -131,7 +134,7 @@ impl MetricsHub {
             frames_received: meter.frames_received(),
             frames_dropped: meter.frames_dropped(),
             reconnects: self.reconnects.load(Ordering::Relaxed),
-            faults_fired: transport.faults_fired(),
+            faults_fired: self.transport.faults_fired(),
         }
     }
 }
@@ -174,30 +177,28 @@ fn fresh_nonce(salt: u64) -> u64 {
 /// a write fault is requeued and redone elsewhere, and the counter records
 /// the work performed.
 pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerMetrics, ClusterError> {
-    let meter = Arc::new(TransportMeter::new());
-    let transport =
-        FaultyTransport::from_plan(opts.fault_plan.clone()).with_meter(Arc::clone(&meter));
-    let hub = Arc::new(MetricsHub::default());
+    let shared = Arc::new(Shared {
+        transport: FaultyTransport::new(opts.fault_plan.clone()),
+        ..Shared::default()
+    });
     let mut identity = PriorIdentity::default();
     let mut cached_graph: Option<CsrGraph> = None;
     let mut attempts = 0u32;
     loop {
         // A replaced connection un-wedges a stalled transport; the stall
         // rule has already fired and will not re-fire.
-        transport.clear_stall();
+        shared.transport.clear_stall();
         let mut progressed = false;
         let result = run_connection(
             addr,
             opts,
-            &transport,
-            &meter,
-            &hub,
+            &shared,
             &mut identity,
             &mut cached_graph,
             &mut progressed,
         );
         let err = match result {
-            Ok(()) => return Ok(hub.snapshot(&meter, &transport)),
+            Ok(()) => return Ok(shared.snapshot()),
             Err(e) => e,
         };
         if is_permanent(&err) {
@@ -219,7 +220,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerMetrics, Clu
                 }
             });
         }
-        hub.reconnects.fetch_add(1, Ordering::Relaxed);
+        shared.reconnects.fetch_add(1, Ordering::Relaxed);
         locec_obs::log::warn(
             "worker",
             "connection lost; reconnecting",
@@ -235,13 +236,10 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerMetrics, Clu
 /// One connection lifetime: handshake, heartbeat thread, lease loop.
 /// `progressed` is set once the handshake completes, so the caller can
 /// reset the consecutive-failure budget.
-#[allow(clippy::too_many_arguments)]
 fn run_connection(
     addr: &str,
     opts: &WorkerOptions,
-    transport: &FaultyTransport,
-    meter: &Arc<TransportMeter>,
-    hub: &Arc<MetricsHub>,
+    shared: &Arc<Shared>,
     identity: &mut PriorIdentity,
     cached_graph: &mut Option<CsrGraph>,
     progressed: &mut bool,
@@ -252,7 +250,8 @@ fn run_connection(
     // announces its ping cadence.
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
 
-    let client_nonce = fresh_nonce(identity.worker_id ^ hub.reconnects.load(Ordering::Relaxed));
+    let client_nonce = fresh_nonce(identity.worker_id ^ shared.reconnects.load(Ordering::Relaxed));
+    let transport = &shared.transport;
     let (auth, client_mac) = match &opts.secret {
         Some(secret) => (AUTH_KEYED, handshake_mac(secret, "hello", client_nonce)),
         None => (AUTH_NONE, 0),
@@ -304,7 +303,7 @@ fn run_connection(
     // Heartbeats run on a side thread from the moment the handshake
     // completes, so even the world load below cannot starve them. The
     // writer mutex keeps heartbeat and result frames from interleaving;
-    // the busy flag and completed counter ride along as last-known state.
+    // the busy flag and metrics block ride along as last-known state.
     // The thread waits out each interval on a channel nothing is ever sent
     // on: dropping `hb_stop` when the lease loop ends wakes it at once.
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
@@ -313,20 +312,20 @@ fn run_connection(
     let hb_handle = {
         let writer = Arc::clone(&writer);
         let busy = Arc::clone(&busy);
-        let meter = Arc::clone(meter);
-        let hub = Arc::clone(hub);
-        let transport = transport.clone();
+        let shared = Arc::clone(shared);
         std::thread::Builder::new()
             .name("locec-worker-heartbeat".into())
             .spawn(move || {
+                let transport = &shared.transport;
                 while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
-                    let info = HeartbeatInfo {
-                        busy: busy.load(Ordering::SeqCst),
-                        leases_completed: hub.leases_completed.load(Ordering::SeqCst),
-                        metrics: hub.snapshot(&meter, &transport),
-                    };
-                    let payload = encode_heartbeat(&info);
+                    // Snapshot under the lock: a block taken before a
+                    // ShardResult's but written after it would roll the
+                    // coordinator's last-value-wins view back.
                     let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
+                    let payload = encode_heartbeat(&HeartbeatInfo {
+                        busy: busy.load(Ordering::SeqCst),
+                        metrics: shared.snapshot(),
+                    });
                     // locec-lint: allow(R5) — the writer mutex exists precisely to serialize whole frames onto the shared socket; heartbeats are tiny frames, so the hold is bounded.
                     let sent = transport.write_frame(&mut *w, FrameType::Heartbeat, &payload);
                     if sent.is_err() {
@@ -339,9 +338,7 @@ fn run_connection(
     let result = serve_leases(
         &mut stream,
         &writer,
-        transport,
-        meter,
-        hub,
+        shared,
         &welcome,
         opts,
         cached_graph,
@@ -354,13 +351,10 @@ fn run_connection(
     result
 }
 
-#[allow(clippy::too_many_arguments)]
 fn serve_leases(
     stream: &mut TcpStream,
     writer: &Arc<Mutex<TcpStream>>,
-    transport: &FaultyTransport,
-    meter: &Arc<TransportMeter>,
-    hub: &Arc<MetricsHub>,
+    shared: &Shared,
     welcome: &Welcome,
     opts: &WorkerOptions,
     cached_graph: &mut Option<CsrGraph>,
@@ -391,6 +385,7 @@ fn serve_leases(
     if let Some(t) = opts.threads {
         config.threads = t.max(1);
     }
+    let transport = &shared.transport;
 
     loop {
         let (ftype, payload) = transport.read_frame(stream)?;
@@ -408,7 +403,8 @@ fn serve_leases(
                 busy.store(true, Ordering::SeqCst);
                 let t_compute = Instant::now();
                 let communities = divide_range(graph, lease.ego_start..lease.ego_end, &config);
-                hub.compute_nanos
+                shared
+                    .compute_nanos
                     .fetch_add(saturating_nanos(t_compute), Ordering::Relaxed);
                 let shard = DivisionShard {
                     ego_start: lease.ego_start,
@@ -421,13 +417,14 @@ fn serve_leases(
                 // The completed-work counters advance *before* the result
                 // frame is encoded, so the metrics block on this very
                 // ShardResult already covers the lease it carries.
-                hub.leases_completed.fetch_add(1, Ordering::SeqCst);
-                hub.egos_divided
+                shared.leases_completed.fetch_add(1, Ordering::SeqCst);
+                shared
+                    .egos_divided
                     .fetch_add(u64::from(lease.ego_end - lease.ego_start), Ordering::SeqCst);
                 let msg = ShardResult {
                     lease_id: lease.lease_id,
                     shard_bytes: shard_to_bytes(&shard),
-                    metrics: hub.snapshot(meter, transport),
+                    metrics: shared.snapshot(),
                 };
                 let t_wire = Instant::now();
                 let write_result = {
@@ -439,7 +436,8 @@ fn serve_leases(
                         &encode_shard_result(&msg),
                     )
                 };
-                hub.wire_nanos
+                shared
+                    .wire_nanos
                     .fetch_add(saturating_nanos(t_wire), Ordering::Relaxed);
                 busy.store(false, Ordering::SeqCst);
                 write_result?;

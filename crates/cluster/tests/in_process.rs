@@ -4,21 +4,19 @@
 //! soak — live in the facade's `tests/cluster.rs` and `tests/chaos.rs`,
 //! which can spawn the `locec` binary.
 
+use locec_cluster::frame::FrameType;
 use locec_cluster::protocol::DivideParams;
 use locec_cluster::{
-    run_worker, ClusterError, CoordinateConfig, Coordinator, FaultPlan, RejectReason, RetryPolicy,
-    WorkerOptions,
+    run_worker, ClusterError, CoordinateConfig, CoordinateOutcome, Coordinator, FaultPlan,
+    RejectReason, RetryPolicy, WorkerOptions,
 };
-use locec_core::phase1::divide;
+use locec_core::phase1::{divide, DivisionResult};
 use locec_core::LocecConfig;
 use locec_store::{save_division_checkpoint, DivisionCheckpoint, DivisionShard};
 use locec_synth::{Scenario, SynthConfig};
 use std::time::Duration;
 
-fn assert_division_eq(
-    a: &locec_core::phase1::DivisionResult,
-    b: &locec_core::phase1::DivisionResult,
-) {
+fn assert_division_eq(a: &DivisionResult, b: &DivisionResult) {
     assert_eq!(a.num_communities(), b.num_communities());
     for (x, y) in a.communities.iter().zip(&b.communities) {
         assert_eq!(x.ego, y.ego);
@@ -45,18 +43,15 @@ fn doomed(plan: &str) -> WorkerOptions {
 }
 
 /// Runs a coordination with `healthy` plain workers plus the given faulty
-/// ones, all in-process, shipping the world inline.
+/// ones, all in-process, shipping the world inline. Returns the outcome
+/// and the single-process division it must equal.
 fn coordinate_with(
     seed: u64,
     healthy: usize,
     faulty: Vec<WorkerOptions>,
     lease_timeout: Duration,
     explicit_tasks: Option<u32>,
-) -> (
-    locec_core::phase1::DivisionResult,
-    locec_cluster::CoordinateStats,
-    locec_core::phase1::DivisionResult,
-) {
+) -> (CoordinateOutcome, DivisionResult) {
     let scenario = Scenario::generate(&SynthConfig::tiny(seed));
     let config = LocecConfig {
         threads: 1,
@@ -90,7 +85,7 @@ fn coordinate_with(
         // faulty ones return errors by design.
         let _ = h.join().expect("worker thread not poisoned");
     }
-    (outcome.division, outcome.stats, expected)
+    (outcome, expected)
 }
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -101,21 +96,33 @@ fn tmp(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn cluster_divide_matches_single_process_bit_for_bit() {
-    let (division, stats, expected) =
-        coordinate_with(41, 3, Vec::new(), Duration::from_secs(10), Some(11));
-    assert_division_eq(&division, &expected);
+    let (outcome, expected) = coordinate_with(41, 3, Vec::new(), Duration::from_secs(10), Some(11));
+    assert_division_eq(&outcome.division, &expected);
+    let stats = &outcome.stats;
     assert_eq!(stats.tasks, 11);
     assert_eq!(stats.workers_seen, 3);
     assert_eq!(stats.requeues, 0);
     assert_eq!(stats.duplicates_dropped, 0);
+
+    // The run record: one lease wall per task, one metrics block per
+    // worker, and the two agree on which worker did which lease.
+    assert_eq!(stats.lease_walls.len(), 11, "{stats:?}");
+    assert_eq!(stats.workers.len(), 3, "{stats:?}");
+    let completed: u64 = stats.workers.iter().map(|(_, m)| m.leases_completed).sum();
+    assert_eq!(completed, 11, "{stats:?}");
+    for (id, m) in &stats.workers {
+        let walls = stats.lease_walls.iter().filter(|(w, _)| w == id).count();
+        assert_eq!(m.leases_completed, walls as u64, "worker #{id}: {stats:?}");
+    }
+    assert_eq!(stats.frames_sent[FrameType::Lease as usize], 11);
+    assert_eq!(stats.frames_received[FrameType::ShardResult as usize], 11);
 }
 
 #[test]
 fn single_worker_cluster_still_completes() {
-    let (division, stats, expected) =
-        coordinate_with(42, 1, Vec::new(), Duration::from_secs(10), None);
-    assert_division_eq(&division, &expected);
-    assert!(stats.tasks >= 1);
+    let (outcome, expected) = coordinate_with(42, 1, Vec::new(), Duration::from_secs(10), None);
+    assert_division_eq(&outcome.division, &expected);
+    assert!(outcome.stats.tasks >= 1);
 }
 
 #[test]
@@ -124,13 +131,15 @@ fn abrupt_worker_death_mid_lease_is_requeued_and_result_is_identical() {
     // (the wire behavior of a killed process); with no retry budget it
     // stays dead, and the healthy worker absorbs the re-queued range.
     let faulty = vec![doomed("lease:1:disconnect")];
-    let (division, stats, expected) =
-        coordinate_with(43, 1, faulty, Duration::from_secs(10), Some(6));
-    assert_division_eq(&division, &expected);
+    let (outcome, expected) = coordinate_with(43, 1, faulty, Duration::from_secs(10), Some(6));
+    assert_division_eq(&outcome.division, &expected);
+    let stats = &outcome.stats;
     assert!(
         stats.requeues >= 1,
         "the dead worker's lease must be re-queued (stats: {stats:?})"
     );
+    // The re-queued task is timed once, by the lease that delivered it.
+    assert_eq!(stats.lease_walls.len(), 6, "{stats:?}");
 }
 
 #[test]
@@ -139,9 +148,9 @@ fn hung_worker_lease_times_out_and_is_requeued() {
     // swallowed by the stall. The coordinator must expire the lease, cut
     // the worker off and re-queue the range.
     let faulty = vec![doomed("lease:1:stall")];
-    let (division, stats, expected) =
-        coordinate_with(44, 1, faulty, Duration::from_millis(400), Some(6));
-    assert_division_eq(&division, &expected);
+    let (outcome, expected) = coordinate_with(44, 1, faulty, Duration::from_millis(400), Some(6));
+    assert_division_eq(&outcome.division, &expected);
+    let stats = &outcome.stats;
     assert!(
         stats.requeues >= 1,
         "the hung worker's lease must time out and re-queue (stats: {stats:?})"
@@ -163,9 +172,9 @@ fn worker_reconnects_after_a_truncated_result_and_the_run_completes() {
         },
         ..WorkerOptions::default()
     }];
-    let (division, stats, expected) =
-        coordinate_with(45, 0, faulty, Duration::from_secs(10), Some(6));
-    assert_division_eq(&division, &expected);
+    let (outcome, expected) = coordinate_with(45, 0, faulty, Duration::from_secs(10), Some(6));
+    assert_division_eq(&outcome.division, &expected);
+    let stats = &outcome.stats;
     assert!(
         stats.reconnects >= 1,
         "the worker must resume its prior identity (stats: {stats:?})"

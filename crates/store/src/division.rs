@@ -303,8 +303,6 @@ pub struct IncrementalMerge<'g> {
     merged: Vec<(u32, u32)>,
     /// Egos covered so far (empty ranges contribute nothing).
     covered: u64,
-    /// Duplicate deliveries dropped.
-    duplicates: u64,
 }
 
 impl<'g> IncrementalMerge<'g> {
@@ -315,7 +313,6 @@ impl<'g> IncrementalMerge<'g> {
             communities: Vec::new(),
             merged: Vec::new(),
             covered: 0,
-            duplicates: 0,
         }
     }
 
@@ -344,7 +341,6 @@ impl<'g> IncrementalMerge<'g> {
         let i = self.merged.partition_point(|&(_, e)| e <= start);
         if let Some(&(s, e)) = self.merged.get(i) {
             if s <= start && end <= e {
-                self.duplicates += 1;
                 return Ok(false);
             }
             if s < end {
@@ -379,11 +375,6 @@ impl<'g> IncrementalMerge<'g> {
         }
         self.merged.insert(i, (s, e));
         Ok(true)
-    }
-
-    /// Duplicate shard deliveries dropped so far.
-    pub fn duplicates_dropped(&self) -> u64 {
-        self.duplicates
     }
 
     /// Whether every ego of the graph has been merged.
@@ -437,7 +428,6 @@ impl<'g> IncrementalMerge<'g> {
             communities,
             merged,
             covered,
-            duplicates: 0,
         })
     }
 
@@ -740,7 +730,6 @@ mod tests {
         assert!(!merge
             .absorb(make_shard(&scenario.graph, 0, 3, &config))
             .unwrap());
-        assert_eq!(merge.duplicates_dropped(), 1);
         assert!(merge
             .absorb(make_shard(&scenario.graph, 1, 3, &config))
             .unwrap());

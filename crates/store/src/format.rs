@@ -99,6 +99,15 @@ impl SnapshotKind {
             SnapshotKind::DivisionCheckpoint => "division-checkpoint",
         }
     }
+
+    /// The indefinite article before [`SnapshotKind::name`] in a sentence.
+    fn article(self) -> &'static str {
+        if self.name().starts_with(['a', 'e', 'i', 'o', 'u']) {
+            "an"
+        } else {
+            "a"
+        }
+    }
 }
 
 /// Everything that can go wrong reading (or writing) a snapshot.
@@ -143,8 +152,10 @@ impl fmt::Display for SnapshotError {
             SnapshotError::UnknownKind(k) => write!(f, "unknown snapshot kind {k}"),
             SnapshotError::WrongKind { expected, found } => write!(
                 f,
-                "expected a {} snapshot, found a {} snapshot",
+                "expected {} {} snapshot, found {} {} snapshot",
+                expected.article(),
                 expected.name(),
+                found.article(),
                 found.name()
             ),
             SnapshotError::Truncated => write!(f, "snapshot is truncated"),
@@ -909,6 +920,26 @@ mod tests {
             Snapshot::from_bytes(&bytes),
             Err(SnapshotError::UnknownKind(999))
         ));
+    }
+
+    #[test]
+    fn wrong_kind_reads_with_the_right_article() {
+        let err = SnapshotError::WrongKind {
+            expected: SnapshotKind::Aggregation,
+            found: SnapshotKind::Division,
+        };
+        assert_eq!(
+            err.to_string(),
+            "expected an aggregation snapshot, found a division snapshot"
+        );
+        let err = SnapshotError::WrongKind {
+            expected: SnapshotKind::Division,
+            found: SnapshotKind::EdgeModel,
+        };
+        assert_eq!(
+            err.to_string(),
+            "expected a division snapshot, found an edge-model snapshot"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use super::{vobj, Args, CliError, RunReport, Value, Verb};
 use locec::cluster::frame::FrameType;
 use locec::cluster::{
-    run_worker, ClusterObs, CoordinateConfig, CoordinateStats, Coordinator, FaultPlan, RetryPolicy,
+    run_worker, CoordinateConfig, CoordinateStats, Coordinator, FaultPlan, RetryPolicy,
     WorkerMetrics, WorkerOptions, WorkerSpawn,
 };
 use locec::store::{save_division, StoredWorld};
@@ -59,7 +59,6 @@ fn coordinate(p: &Args, report: &mut RunReport) -> Result<(), CliError> {
         }
         cfg.spawn = Some(WorkerSpawn {
             program,
-            args: Vec::new(),
             worker_args,
         });
     }
@@ -105,7 +104,7 @@ fn coordinate(p: &Args, report: &mut RunReport) -> Result<(), CliError> {
     let outcome = coordinator.run()?;
     save_division(&out, coordinator.graph(), &outcome.division)?;
     let s = &outcome.stats;
-    cluster_sections(report, &outcome.obs, s);
+    cluster_sections(report, s);
     println!(
         "coordinate: {} tasks over {} workers ({} requeued, {} duplicate shards, \
          {} respawns, {} reconnects, {} checkpoints) -> {} communities in {:.3}s -> {}",
@@ -184,10 +183,11 @@ fn worker_metrics_obj(id: Option<u64>, m: &WorkerMetrics) -> Value {
     ]))
 }
 
-/// The `cluster` + `workers` report sections from a coordination outcome.
-fn cluster_sections(report: &mut RunReport, obs: &ClusterObs, s: &CoordinateStats) {
-    let lease_total: u64 = obs.lease_walls.iter().map(|&(_, ns)| ns).sum();
-    let lease_max = obs.lease_walls.iter().map(|&(_, ns)| ns).max().unwrap_or(0);
+/// The `cluster` + `workers` report sections from a coordination's run
+/// record.
+fn cluster_sections(report: &mut RunReport, s: &CoordinateStats) {
+    let lease_total: u64 = s.lease_walls.iter().map(|&(_, ns)| ns).sum();
+    let lease_max = s.lease_walls.iter().map(|&(_, ns)| ns).max().unwrap_or(0);
     report.set_section(
         "cluster",
         vobj(vec![
@@ -199,14 +199,14 @@ fn cluster_sections(report: &mut RunReport, obs: &ClusterObs, s: &CoordinateStat
             ("respawns", Value::Uint(u64::from(s.respawns))),
             ("reconnects", Value::Uint(s.reconnects)),
             ("checkpoints_written", Value::Uint(s.checkpoints_written)),
-            ("frames_sent", frames_obj(&obs.frames_sent)),
-            ("frames_received", frames_obj(&obs.frames_received)),
-            ("frames_dropped", frames_obj(&obs.frames_dropped)),
-            ("bytes_sent", Value::Uint(obs.bytes_sent)),
-            ("bytes_received", Value::Uint(obs.bytes_received)),
-            ("faults_fired", Value::Uint(obs.faults_fired)),
-            ("merge_nanos", Value::Uint(obs.merge_nanos)),
-            ("leases_timed", Value::Uint(obs.lease_walls.len() as u64)),
+            ("frames_sent", frames_obj(&s.frames_sent)),
+            ("frames_received", frames_obj(&s.frames_received)),
+            ("frames_dropped", frames_obj(&s.frames_dropped)),
+            ("bytes_sent", Value::Uint(s.bytes_sent)),
+            ("bytes_received", Value::Uint(s.bytes_received)),
+            ("faults_fired", Value::Uint(s.faults_fired)),
+            ("merge_nanos", Value::Uint(s.merge_nanos)),
+            ("leases_timed", Value::Uint(s.lease_walls.len() as u64)),
             ("lease_wall_nanos_total", Value::Uint(lease_total)),
             ("lease_wall_nanos_max", Value::Uint(lease_max)),
         ]),
@@ -214,7 +214,7 @@ fn cluster_sections(report: &mut RunReport, obs: &ClusterObs, s: &CoordinateStat
     report.set_section(
         "workers",
         Value::Array(
-            obs.workers
+            s.workers
                 .iter()
                 .map(|(id, m)| worker_metrics_obj(Some(*id), m))
                 .collect(),

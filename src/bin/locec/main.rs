@@ -235,7 +235,12 @@ fn run(argv: &[String]) -> Result<(), CliError> {
     } else {
         let verb = VERBS
             .iter()
-            .find(|v| v.name == cmd && v.mode.is_none_or(|m| args.flags.contains_key(m)))
+            .find(|v| {
+                // A dangling mode option still selects its mode, so the
+                // mode's declaration reports the missing value.
+                let given = |m| args.flags.contains_key(m) || args.dangling.as_deref() == Some(m);
+                v.name == cmd && v.mode.is_none_or(given)
+            })
             .ok_or_else(|| format!("unknown subcommand '{cmd}'\n\n{USAGE}"))?;
         args.check(verb)?;
         (verb.run)(&args, &mut report)?;

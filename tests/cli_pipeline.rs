@@ -488,6 +488,15 @@ fn cli_reports_typed_errors_without_panicking() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--world needs a value"));
+    // The same holds for the option that selects a verb's mode.
+    let out = Command::new(bin())
+        .current_dir(&dir)
+        .args(["serve", "--connect"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--connect needs a value"), "{stderr}");
 
     // A repeated option is rejected, not silently overridden by the later
     // value.
