@@ -25,6 +25,7 @@ use locec_ml::{Dataset, Scratch, Tensor};
 use locec_runtime::run_chunked;
 use locec_synth::types::RelationType;
 use locec_synth::SocialDataset;
+use std::cell::RefCell;
 use std::sync::Mutex;
 
 /// Communities per chunk for feature building. Feature cost scales with
@@ -274,6 +275,9 @@ impl CommunityClassifier {
         config: &LocecConfig,
     ) -> AggregationResult {
         const CLASSES: usize = RelationType::COUNT;
+        thread_local! {
+            static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
+        }
         let n = division.communities.len();
         let dim = self.embedding_dim();
         let mut embeddings = vec![0.0f32; n * dim];
@@ -292,17 +296,19 @@ impl CommunityClassifier {
                     .lock()
                     .unwrap_or_else(|e| e.into_inner());
                 let (emb, prob) = &mut *slot;
-                // The frozen forward pass is `&self`, so every chunk infers
-                // with its own scratch arena.
-                let mut scratch = Scratch::new();
-                self.embed_into(
-                    data,
-                    &division.communities[range],
-                    config,
-                    &mut scratch,
-                    emb,
-                    prob,
-                );
+                // The frozen forward pass is `&self`, so each thread infers
+                // with its own scratch arena, kept across its chunks (every
+                // op resizes and overwrites what it uses).
+                SCRATCH.with(|scratch| {
+                    self.embed_into(
+                        data,
+                        &division.communities[range],
+                        config,
+                        &mut scratch.borrow_mut(),
+                        emb,
+                        prob,
+                    )
+                });
             });
         }
         AggregationResult {

@@ -5,10 +5,12 @@
 //! fans each mini-batch's shards out over it, but the chunk and shard
 //! layouts are functions of the input length and a constant grain — never
 //! of the pool size. So the *semantic* ML counters (samples trained or
-//! inferred, GEMM calls, im2col lowerings) must be bit-identical whether
-//! the pool runs 1, 2 or 8 threads, and so must every probability row and
-//! every trained parameter. The timing counters (`ml.gemm_nanos`,
-//! `ml.im2col_nanos`) are scheduling-class and deliberately excluded.
+//! inferred, GEMM calls, and `ml.im2col_calls`, which counts the conv
+//! layers' padded-plane builds and ∂weights tap gathers) must be
+//! bit-identical whether the pool runs 1, 2 or 8 threads, and so must every
+//! probability row and every trained parameter. The timing counters
+//! (`ml.gemm_nanos`, `ml.im2col_nanos`) are scheduling-class and
+//! deliberately excluded.
 //!
 //! Deltas are measured against the process-global recorder, so this file
 //! holds exactly one `#[test]` — a sibling test in the same binary would

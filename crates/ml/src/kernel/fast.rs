@@ -1,60 +1,59 @@
 //! GEMM-backed convolution and dense ops — what the `nn` layers run.
 //!
-//! Each op lowers to one or more calls of [`super::sgemm::sgemm`] arranged
-//! so every output element is a single flat fold over the same contraction
+//! Each op is one or more calls of [`super::sgemm::sgemm`] or its view
+//! form [`super::sgemm::sgemm_rows`], arranged so every output element is a single flat fold over the same contraction
 //! axis, in the same ascending order, with the same operand order as the
 //! loops in [`super::reference`]. That makes the fast paths bitwise
 //! identical to the naive ones for finite data (up to the sign of zero;
 //! see the kernel module docs for the argument).
 //!
-//! Lowering recipes (`R = c_in·kh·kw`, `P = oh·ow`, `K₂ = c_out·kh·kw`;
-//! conv forward is one GEMM for the whole batch, the conv backward GEMMs
-//! run per sample):
+//! GEMM recipes (`R = c_in·kh·kw`, `P = oh·ow`, `K₂ = c_out·kh·kw`; a
+//! *plane* is the batch laid out once with its zero padding, see
+//! [`super::plane`], and a *view* reads one `B` row per kernel tap from it
+//! at a per-tap offset; `span` is the plane's output-grid columns, ≈ `N·P`):
 //!
-//! | op            | A (m×k)              | B (k×n)                        | C preload        |
-//! |---------------|----------------------|--------------------------------|------------------|
-//! | conv forward  | weights `c_out×R`    | im2col `R×(N·P)`               | bias rows        |
-//! | conv ∂weights | gout `c_out×P`       | forward's cols, block ᵀ `P×R`  | zeroed record    |
-//! | conv ∂input   | permuted w `c_in×K₂` | flipped-im2col `K₂×(h·w)`      | zeros            |
-//! | dense forward | input `N×I`          | weights `I×O`                  | bias rows        |
-//! | dense ∂weights| inputᵀ `I×N`         | gout `N×O`                     | existing `gw`    |
-//! | dense ∂input  | gout `N×O`           | weightsᵀ `O×I`                 | zeros            |
+//! | op            | A (m×k)              | B (k×n)                                 | C preload     |
+//! |---------------|----------------------|-----------------------------------------|---------------|
+//! | conv forward  | weights `c_out×R`    | view of the input plane `R×span`        | bias rows     |
+//! | conv ∂weights | gout `c_out×P`       | per sample, gathered from that, `P×R`   | zeroed record |
+//! | conv ∂input   | permuted w `c_in×K₂` | flipped view of the gout plane `K₂×span`| zeros         |
+//! | dense forward | input `N×I`          | weights `I×O`                           | bias rows     |
+//! | dense ∂weights| inputᵀ `I×N`         | gout `N×O`                              | existing `gw` |
+//! | dense ∂input  | gout `N×O`           | weightsᵀ `O×I`                          | zeros         |
 //!
-//! The conv backward lowers no input: a training forward keeps its
-//! `R×(N·P)` columns, and sample `ni`'s ∂weights operand is the transpose
-//! of its `R×P` block — the same matrix a fresh per-sample lowering would
-//! build, so the GEMM sees the same operands. The ∂input lowering and GEMM
-//! run only when the caller reads the result: a network's first conv,
-//! whose input is data, skips them.
+//! Conv forward and ∂input are one GEMM for the whole batch each, on the
+//! plane's grid; only the valid cells are copied out to NCHW. A training
+//! forward keeps its input plane, and sample `ni`'s ∂weights operand is
+//! gathered from it — the same `P×R` tap matrix an im2col lowering would
+//! transpose out, so the GEMM sees the same operands. The ∂input plane and
+//! GEMM run only when the caller reads the result: a network's first
+//! conv, whose input is data, skips them.
 //!
 //! The conv backward is two steps. [`conv2d_backward_samples`] computes
-//! each sample's ∂input and its *record*: the sample's bias sums and its
-//! ∂weights tile, the GEMM landing in a zeroed slot. [`conv2d_fold`] then
-//! adds the records to `gb`/`gw` in sample order. That split is forced by
-//! the reference, which folds a local `wgrad` from zero per sample and then
-//! does one `gw += wgrad` — not the float sequence of folding on top of
-//! `gw`. It is also what lets a batch train in slices: records of
+//! the batch's ∂input and each sample's *record*: the sample's bias sums
+//! and its ∂weights tile, the GEMM landing in a zeroed slot. [`conv2d_fold`]
+//! then adds the records to `gb`/`gw` in sample order. That split is forced
+//! by the reference, which folds a local `wgrad` from zero per sample and
+//! then does one `gw += wgrad` — not the float sequence of folding on top
+//! of `gw`. It is also what lets a batch train in slices: records of
 //! consecutive slices, folded slice after slice, are the whole batch's
 //! additions in the whole batch's order. The dense weight gradient is the
 //! opposite case — the reference folds straight onto `gw`, so there the
 //! GEMM preloads `C` with the existing values, and a dense layer trains on
 //! the whole batch.
 
-use super::im2col::{flipped_im2col, im2col_batched, sample_rows};
-use super::{timed_sgemm, with_im2col_timing, ConvGeom, Scratch};
+use super::plane::PlaneLayout;
+use super::{timed_layout, timed_sgemm, timed_sgemm_rows, ConvGeom, Scratch};
 
-/// im2col + GEMM convolution forward, batched: the whole `n`-sample batch
-/// is lowered into one `R×(N·P)` column matrix and multiplied in a single
-/// GEMM (weights packed once, not once per sample), then scattered back to
-/// NCHW. Each output element is still the same ascending-`R` fold seeded
-/// from its bias value — only the column's position in the GEMM changes,
-/// so the result is bitwise identical to the per-sample lowering. `out`
-/// must hold `n·c_out·oh·ow` elements; fully overwritten. The columns are
-/// left in `scratch.cols`, where a training forward takes them for
-/// [`conv2d_backward_samples`].
-// The bias fill indexes `b` by `co` to fill row `co`; a `chunks_exact_mut`
-// rewrite would panic on an empty batch (`np = 0`).
-#[allow(clippy::needless_range_loop)]
+/// Convolution forward as one view GEMM over the whole batch: the input is
+/// laid out once as a padded plane ([`PlaneLayout::conv_input`]), each
+/// kernel tap `(ci, ky, kx)` is a shifted row view of it, and the GEMM
+/// output — seeded with the bias — is copied to NCHW cell by cell. Each
+/// output element is the ascending-`R` fold from its bias that an im2col
+/// lowering would give, padding taps included as real zeros, so the bits
+/// are the same. `out` must hold `n·c_out·oh·ow` elements; fully
+/// overwritten. The plane is left in `scratch.plane`, where a training
+/// forward takes it for [`conv2d_backward_samples`].
 pub fn conv2d_forward(
     g: &ConvGeom,
     w: &[f32],
@@ -63,78 +62,52 @@ pub fn conv2d_forward(
     out: &mut [f32],
     scratch: &mut Scratch,
 ) {
-    let ConvGeom {
-        n,
-        c_in,
-        c_out,
-        h,
-        w: iw,
-        kh,
-        kw,
-        ph,
-        pw,
-        oh,
-        ow,
-    } = *g;
-    let (r, p) = (c_in * kh * kw, oh * ow);
-    let np = n * p;
-    with_im2col_timing(|| {
-        im2col_batched(
-            input,
-            n,
-            c_in,
-            h,
-            iw,
-            kh,
-            kw,
-            ph,
-            pw,
-            oh,
-            ow,
-            &mut scratch.cols,
-        )
-    });
+    let (r, layout) = (g.c_in * g.kh * g.kw, PlaneLayout::conv_input(g));
+    let span = layout.span();
+    timed_layout(|| layout.fill(input, g.c_in, &mut scratch.plane));
+    let (ph, pw) = (g.ph as isize, g.pw as isize);
+    layout.taps(
+        g.c_in,
+        g.kh,
+        g.kw,
+        |ky, kx| (ky as isize - ph, kx as isize - pw),
+        &mut scratch.offsets,
+    );
     scratch.tmp.clear();
-    scratch.tmp.resize(c_out * np, 0.0);
-    for co in 0..c_out {
-        scratch.tmp[co * np..(co + 1) * np].fill(b[co]);
+    for &bias in b {
+        scratch.tmp.resize(scratch.tmp.len() + span, bias);
     }
-    timed_sgemm(
-        c_out,
-        np,
+    timed_sgemm_rows(
+        g.c_out,
+        span,
         r,
         w,
-        &scratch.cols,
+        &scratch.plane,
+        &scratch.offsets,
         &mut scratch.tmp,
         &mut scratch.pack,
     );
-    for ni in 0..n {
-        let out_sample = &mut out[ni * c_out * p..(ni + 1) * c_out * p];
-        for co in 0..c_out {
-            out_sample[co * p..(co + 1) * p]
-                .copy_from_slice(&scratch.tmp[co * np + ni * p..co * np + (ni + 1) * p]);
-        }
-    }
+    layout.scatter(&scratch.tmp, g.c_out, out);
 }
 
-/// The per-sample part of the GEMM convolution backward, from the
-/// forward's columns: `cols` is the `R×(N·P)` matrix [`conv2d_forward`]
-/// lowered for this batch, so the weight gradient reads each sample's block
-/// through [`sample_rows`] instead of lowering the input again.
+/// The convolution backward's GEMMs, from the forward's padded input
+/// plane: `plane` is what [`conv2d_forward`] laid out for this batch
+/// (`scratch.plane` after the call), so each sample's ∂weights operand is
+/// gathered from it instead of lowering the input again.
 ///
 /// Sample `ni`'s parameter-gradient terms go to its record,
 /// `records[ni·(c_out + c_out·R)..]`: its `c_out` bias sums (one plane sum
 /// each), then its `c_out×R` ∂weights tile, folded from zero.
 /// [`conv2d_fold`] adds them to `gw`/`gb`. `records` is resized and fully
-/// overwritten. `gin`, when given, must be zeroed by the caller; `None`
-/// skips the input gradient — its lowering and its GEMM — for a caller that
+/// overwritten. `gin`, when given, is fully overwritten with the input
+/// gradient; `None` skips it — its plane and its GEMM — for a caller that
 /// would discard it.
 pub fn conv2d_backward_samples(
     g: &ConvGeom,
     w: &[f32],
-    cols: &[f32],
+    plane: &[f32],
     gout: &[f32],
-    mut gin: Option<&mut [f32]>,
+    gin: Option<&mut [f32]>,
     records: &mut Vec<f32>,
     scratch: &mut Scratch,
 ) {
@@ -142,34 +115,28 @@ pub fn conv2d_backward_samples(
         n,
         c_in,
         c_out,
-        h,
-        w: iw,
         kh,
         kw,
         ph,
         pw,
         oh,
         ow,
+        ..
     } = *g;
     let (r, p, k2) = (c_in * kh * kw, oh * ow, c_out * kh * kw);
     let stride = c_out + c_out * r;
     records.clear();
     records.resize(n * stride, 0.0);
+    let (ph, pw) = (ph as isize, pw as isize);
 
-    // Weights permuted to (ci, (co, ky, kx)) — the A operand of the
-    // input-gradient GEMM. Built once per call, reused across samples.
-    if gin.is_some() {
-        scratch.wperm.clear();
-        scratch.wperm.resize(c_in * k2, 0.0);
-        for co in 0..c_out {
-            for ci in 0..c_in {
-                for t in 0..kh * kw {
-                    scratch.wperm[ci * k2 + co * kh * kw + t] = w[(co * c_in + ci) * kh * kw + t];
-                }
-            }
-        }
-    }
-
+    let layout = PlaneLayout::conv_input(g);
+    layout.taps(
+        c_in,
+        kh,
+        kw,
+        |ky, kx| (ky as isize - ph, kx as isize - pw),
+        &mut scratch.offsets,
+    );
     for (ni, record) in records.chunks_exact_mut(stride).enumerate() {
         let g_sample = &gout[ni * c_out * p..(ni + 1) * c_out * p];
         let (bias_sums, tile) = record.split_at_mut(c_out);
@@ -181,7 +148,7 @@ pub fn conv2d_backward_samples(
 
         // Weight gradient: folded into the zeroed tile — the reference's
         // local `wgrad`, which the fold then adds to `gw`.
-        with_im2col_timing(|| sample_rows(cols, r, n, p, ni, &mut scratch.cols));
+        timed_layout(|| layout.gather(plane, &scratch.offsets, ni, &mut scratch.cols));
         timed_sgemm(
             c_out,
             r,
@@ -191,37 +158,45 @@ pub fn conv2d_backward_samples(
             tile,
             &mut scratch.pack,
         );
-
-        // Input gradient: flipped-kernel GEMM straight into the (zeroed)
-        // gradient plane — one fold per element, ordered (co, ky, kx).
-        let Some(gin) = gin.as_deref_mut() else {
-            continue;
-        };
-        with_im2col_timing(|| {
-            flipped_im2col(
-                g_sample,
-                c_out,
-                oh,
-                ow,
-                kh,
-                kw,
-                ph,
-                pw,
-                h,
-                iw,
-                &mut scratch.cols,
-            )
-        });
-        timed_sgemm(
-            c_in,
-            h * iw,
-            k2,
-            &scratch.wperm,
-            &scratch.cols,
-            &mut gin[ni * c_in * h * iw..(ni + 1) * c_in * h * iw],
-            &mut scratch.pack,
-        );
     }
+
+    // Input gradient: one flipped-kernel view GEMM over the output
+    // gradient's plane — one fold per element, ordered (co, ky, kx).
+    let Some(gin) = gin else {
+        return;
+    };
+    // Weights permuted to (ci, (co, ky, kx)): the GEMM's A operand.
+    scratch.wperm.clear();
+    scratch.wperm.resize(c_in * k2, 0.0);
+    for co in 0..c_out {
+        for ci in 0..c_in {
+            for t in 0..kh * kw {
+                scratch.wperm[ci * k2 + co * kh * kw + t] = w[(co * c_in + ci) * kh * kw + t];
+            }
+        }
+    }
+    let back = PlaneLayout::conv_grad_out(g);
+    timed_layout(|| back.fill(gout, c_out, &mut scratch.cols));
+    back.taps(
+        c_out,
+        kh,
+        kw,
+        |ky, kx| (ph - ky as isize, pw - kx as isize),
+        &mut scratch.offsets,
+    );
+    scratch.tmp.clear();
+    scratch.tmp.resize(c_in * back.span(), 0.0);
+    timed_sgemm_rows(
+        c_in,
+        back.span(),
+        k2,
+        &scratch.wperm,
+        &scratch.cols,
+        &scratch.offsets,
+        &mut scratch.tmp,
+        &mut scratch.pack,
+    );
+    back.scatter(&scratch.tmp, c_in, gin);
 }
 
 /// The in-order fold of the convolution backward: for each record

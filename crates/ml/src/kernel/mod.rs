@@ -1,12 +1,16 @@
-//! The `locec_ml` math kernel: blocked GEMM, im2col lowerings, and the
-//! conv/dense ops the `nn` layers compute through.
+//! The `locec_ml` math kernel: blocked GEMM, padded-plane convolution
+//! views, and the conv/dense ops the `nn` layers compute through.
 //!
 //! # Structure
 //!
 //! * [`sgemm`](self::sgemm::sgemm) — packed, register-blocked `C += A·B`
-//!   (see `sgemm.rs` for the blocking scheme).
-//! * [`im2col`] — the lowerings that turn stride-1 padded convolution into
-//!   matrix multiply (layouts documented there).
+//!   (see `sgemm.rs` for the blocking scheme), and its view form
+//!   [`sgemm_rows`](self::sgemm::sgemm_rows), whose `B` rows are windows
+//!   of one buffer at per-row offsets.
+//! * [`plane`] — the padded, batch-stacked plane a convolution's input (or
+//!   output gradient) is laid out in once, so that every kernel tap is a
+//!   shifted row view of it and no column matrix is built (layout
+//!   documented there).
 //! * [`fast`] — the GEMM-backed conv/dense ops, re-exported here as
 //!   `kernel::{conv2d,dense}_{forward,backward}`: the only path a build runs.
 //! * [`mod@reference`] — the seed's naive loops, preserved verbatim; the
@@ -44,7 +48,8 @@
 //!
 //! # Scratch lifetime
 //!
-//! All fast-path temporaries (im2col columns, GEMM packing buffers, weight
+//! All fast-path temporaries (padded planes, tap offsets, GEMM output
+//! grids, ∂weights tap matrices, GEMM packing buffers, weight
 //! permutations) live in a caller-provided [`Scratch`] arena. A `Scratch`
 //! grows to the high-water mark of the ops run through it and is fully
 //! overwritten by each op — callers keep one per thread (inference) or one
@@ -53,7 +58,7 @@
 //! immutable on the layer and therefore shareable across threads.
 
 pub mod fast;
-pub mod im2col;
+pub mod plane;
 pub mod reference;
 pub mod sgemm;
 
@@ -70,9 +75,15 @@ use std::time::Instant;
 /// every `forward` / `backward` call.
 #[derive(Default)]
 pub struct Scratch {
-    /// im2col / transposed-sample / flipped-im2col column matrices.
+    /// The conv forward's padded input plane; a training `Conv2d` keeps it
+    /// for its backward.
+    pub(crate) plane: Vec<f32>,
+    /// The ∂weights tap matrix of one sample, then the output-gradient
+    /// plane of the ∂input GEMM.
     pub(crate) cols: Vec<f32>,
-    /// Per-sample weight-gradient tile; transposed inputs for dense.
+    /// Row-view offsets of the current view GEMM, one per kernel tap.
+    pub(crate) offsets: Vec<usize>,
+    /// Conv GEMM output on the plane's grid; transposed inputs for dense.
     pub(crate) tmp: Vec<f32>,
     /// Permuted / transposed weight operands.
     pub(crate) wperm: Vec<f32>,
@@ -206,7 +217,7 @@ pub fn record_infer_samples(n: usize) {
 }
 
 /// `sgemm` with `ml.gemm_nanos` / `ml.gemm_calls` accounting: the conv
-/// and dense layers' GEMMs.
+/// and dense layers' dense GEMMs.
 pub(crate) fn timed_sgemm(
     m: usize,
     n: usize,
@@ -217,17 +228,28 @@ pub(crate) fn timed_sgemm(
     pack: &mut Vec<f32>,
 ) {
     let metrics = MlMetrics::get();
-    sgemm_recording(
-        &metrics.gemm_nanos,
-        &metrics.gemm_calls,
-        m,
-        n,
-        k,
-        a,
-        b,
-        c,
-        pack,
-    );
+    recording(&metrics.gemm_nanos, &metrics.gemm_calls, || {
+        sgemm::sgemm(m, n, k, a, b, c, pack)
+    });
+}
+
+/// [`sgemm::sgemm_rows`] with `ml.gemm_nanos` / `ml.gemm_calls`
+/// accounting: the conv layers' view GEMMs.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn timed_sgemm_rows(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    base: &[f32],
+    offsets: &[usize],
+    c: &mut [f32],
+    pack: &mut Vec<f32>,
+) {
+    let metrics = MlMetrics::get();
+    recording(&metrics.gemm_nanos, &metrics.gemm_calls, || {
+        sgemm::sgemm_rows(m, n, k, a, base, offsets, c, pack)
+    });
 }
 
 /// `sgemm` with `ml.linear_gemm_nanos` / `ml.linear_gemm_calls`
@@ -243,48 +265,32 @@ pub(crate) fn timed_linear_sgemm(
     pack: &mut Vec<f32>,
 ) {
     let metrics = MlMetrics::get();
-    sgemm_recording(
+    recording(
         &metrics.linear_gemm_nanos,
         &metrics.linear_gemm_calls,
-        m,
-        n,
-        k,
-        a,
-        b,
-        c,
-        pack,
+        || sgemm::sgemm(m, n, k, a, b, c, pack),
     );
 }
 
-#[allow(clippy::too_many_arguments)]
-fn sgemm_recording(
+/// Runs `f`, adding its wall time to `nanos` and one call to `calls`.
+fn recording<R>(
     nanos: &locec_obs::Counter,
     calls: &locec_obs::Counter,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    pack: &mut Vec<f32>,
-) {
-    let start = Instant::now();
-    sgemm::sgemm(m, n, k, a, b, c, pack);
-    nanos.add(locec_obs::metrics::saturating_nanos(start));
-    calls.incr();
-}
-
-/// Runs an im2col-family lowering with `ml.im2col_nanos` / `ml.im2col_calls`
-/// accounting.
-pub(crate) fn with_im2col_timing<R>(f: impl FnOnce() -> R) -> R {
+    f: impl FnOnce() -> R,
+) -> R {
     let start = Instant::now();
     let out = f();
-    let metrics = MlMetrics::get();
-    metrics
-        .im2col_nanos
-        .add(locec_obs::metrics::saturating_nanos(start));
-    metrics.im2col_calls.incr();
+    nanos.add(locec_obs::metrics::saturating_nanos(start));
+    calls.incr();
     out
+}
+
+/// Runs a conv layout step — a padded-plane build or a ∂weights tap
+/// gather — with `ml.im2col_nanos` / `ml.im2col_calls` accounting. The
+/// names are those of the im2col lowerings these steps replaced.
+pub(crate) fn timed_layout<R>(f: impl FnOnce() -> R) -> R {
+    let metrics = MlMetrics::get();
+    recording(&metrics.im2col_nanos, &metrics.im2col_calls, f)
 }
 
 #[cfg(test)]
@@ -348,12 +354,12 @@ mod tests {
         fill(&mut gw_seed, &mut seed);
         let (mut gin_f, mut gw_f, mut gb_f) = (vec![0.0f32; x.len()], gw_seed.clone(), b.clone());
         let (mut gin_r, mut gw_r, mut gb_r) = (vec![0.0f32; x.len()], gw_seed, b.clone());
-        let cols = scratch.cols.clone();
+        let plane = scratch.plane.clone();
         let mut records = Vec::new();
         fast::conv2d_backward_samples(
             &g,
             &wt,
-            &cols,
+            &plane,
             &gout,
             Some(&mut gin_f),
             &mut records,

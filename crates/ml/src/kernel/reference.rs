@@ -5,10 +5,10 @@
 //! forward/backward, lifted out of the layer structs verbatim (same loop
 //! nests, same fold orders, same zero-weight / zero-gradient skips). They
 //! define the *bit pattern* every other backend must reproduce: the fast
-//! im2col+GEMM paths in [`super::fast`] fold each output element over the
-//! same contraction axis in the same ascending order, so for finite inputs
-//! their results are bitwise identical (see the bit-exactness notes on
-//! [`crate::kernel`]).
+//! padded-plane GEMM paths in [`super::fast`] fold each output element
+//! over the same contraction axis in the same ascending order, so for
+//! finite inputs their results are bitwise identical (see the
+//! bit-exactness notes on [`crate::kernel`]).
 
 use super::ConvGeom;
 

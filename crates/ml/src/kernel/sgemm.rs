@@ -12,14 +12,17 @@
 //!   blocks, and every A strip runs over a block before the next block
 //!   starts, so the block stays cache-resident across strips; the
 //!   micro-kernel reads its `NR` values per `k`-step straight from `B`'s
-//!   rows. Repacking full panels k-major was measured slower on every
-//!   shape CommCNN runs — conv forward, ∂weights and ∂input, dense layers,
+//!   rows. Where a row starts is the caller's: `p·n` for a dense matrix
+//!   ([`sgemm`]), an offset table for a view ([`sgemm_rows`]) whose rows
+//!   are shifted windows of one buffer. Repacking full panels k-major was
+//!   measured slower on every shape CommCNN runs — conv forward, ∂weights and ∂input, dense layers,
 //!   2 to 8 strips: by 7–39 % per GEMM on a 2-vCPU x86-64 VM at the
 //!   baseline target — because `k` is small and a block's rows are few
 //!   enough to stay cached either way. A ragged right edge
-//!   (fewer than `NR` columns left) is packed, zero-padded to a full
-//!   panel, so it runs through the same micro-kernel; the padded lanes fold
-//!   zeros and are never written back.
+//!   (fewer than `NR` columns left) is packed, zero-padded to the
+//!   narrowest panel of 4, 8 or `NR` columns that holds it, and runs
+//!   through a micro-kernel of that width; the padded lanes fold zeros and
+//!   are never written back.
 //! * **No k-blocking.** Each output element is one flat left-fold over the
 //!   *entire* `k` dimension, in ascending order, starting from the value
 //!   already in `C`. Splitting `k` into cache panels would re-associate
@@ -50,6 +53,9 @@ pub const NC: usize = 256;
 /// order seeded with the existing `C` value — callers preload `C` with the
 /// bias (forward) or the running gradient (backward) to fold initialization
 /// into the kernel without an extra pass.
+///
+/// This is the dense case of [`sgemm_rows`]: row `p` of `B` starts at
+/// `b[p·n]`.
 pub fn sgemm(
     m: usize,
     n: usize,
@@ -59,8 +65,47 @@ pub fn sgemm(
     c: &mut [f32],
     pack: &mut Vec<f32>,
 ) {
-    assert_eq!(a.len(), m * k, "A must be m×k");
     assert_eq!(b.len(), k * n, "B must be k×n");
+    gemm(m, n, k, a, b, |p| p * n, c, pack);
+}
+
+/// `C += A · B` where `B` is a *view*: row `p` of the `k×n` operand is
+/// `base[offsets[p]..offsets[p] + n]`. Rows may overlap, repeat or sit in
+/// any order, so a convolution reads its taps as shifted windows of one
+/// padded plane instead of a materialised column matrix. Same fold, same
+/// blocking and same bits as [`sgemm`] on the materialised `B`.
+#[allow(clippy::too_many_arguments)]
+pub fn sgemm_rows(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    base: &[f32],
+    offsets: &[usize],
+    c: &mut [f32],
+    pack: &mut Vec<f32>,
+) {
+    assert_eq!(offsets.len(), k, "B must have k rows");
+    assert!(
+        n == 0 || offsets.iter().all(|&o| o + n <= base.len()),
+        "every B row must lie inside its base"
+    );
+    gemm(m, n, k, a, base, |p| offsets[p], c, pack);
+}
+
+/// The blocked GEMM over a `B` whose row `p` starts at `base[row(p)]`.
+#[allow(clippy::too_many_arguments)]
+fn gemm(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    base: &[f32],
+    row: impl Fn(usize) -> usize,
+    c: &mut [f32],
+    pack: &mut Vec<f32>,
+) {
+    assert_eq!(a.len(), m * k, "A must be m×k");
     assert_eq!(c.len(), m * n, "C must be m×n");
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -81,13 +126,24 @@ pub fn sgemm(
         let nb = NC.min(n - jc);
         let full = nb / NR;
         let ragged = nb % NR;
+        // The ragged edge's panel is the narrowest of 4, 8 or NR columns
+        // that holds it, so a few leftover columns do not pay for a full
+        // NR-wide tile.
+        let width = match ragged {
+            0..=4 => 4,
+            5..=8 => 8,
+            _ => NR,
+        };
+        let panel = &mut ragged_panel[..if ragged > 0 { k * width } else { 0 }];
         if ragged > 0 {
             let jt = jc + full * NR;
-            for (p, dst) in ragged_panel.chunks_exact_mut(NR).enumerate() {
-                dst[..ragged].copy_from_slice(&b[p * n + jt..p * n + jt + ragged]);
+            for (p, dst) in panel.chunks_exact_mut(width).enumerate() {
+                let src = row(p) + jt;
+                dst[..ragged].copy_from_slice(&base[src..src + ragged]);
                 dst[ragged..].fill(0.0);
             }
         }
+        let panel = &*panel;
 
         for (s, a_strip) in apack.chunks_exact(MR * k).enumerate() {
             let i0 = s * MR;
@@ -95,15 +151,17 @@ pub fn sgemm(
 
             for t in 0..full {
                 let jt = jc + t * NR;
-                let mut acc = load_tile(c, n, i0, rows, jt, NR);
-                micro_tile_strided(a_strip, &b[jt..], n, &mut acc);
+                let mut acc = load_tile::<NR>(c, n, i0, rows, jt, NR);
+                micro_tile_rows(a_strip, base, &row, jt, &mut acc);
                 store_tile(&acc, c, n, i0, rows, jt, NR);
             }
             if ragged > 0 {
                 let jt = jc + full * NR;
-                let mut acc = load_tile(c, n, i0, rows, jt, ragged);
-                micro_tile_packed(a_strip, ragged_panel, &mut acc);
-                store_tile(&acc, c, n, i0, rows, jt, ragged);
+                match width {
+                    4 => ragged_tile::<4>(a_strip, panel, c, n, i0, rows, jt, ragged),
+                    8 => ragged_tile::<8>(a_strip, panel, c, n, i0, rows, jt, ragged),
+                    _ => ragged_tile::<NR>(a_strip, panel, c, n, i0, rows, jt, ragged),
+                }
             }
         }
         jc += nb;
@@ -113,15 +171,15 @@ pub fn sgemm(
 /// Loads the `rows × width` block of `C` at `(i0, jt)` into a zeroed
 /// register tile: the fold starts from the value already in `C`.
 #[inline(always)]
-fn load_tile(
+fn load_tile<const W: usize>(
     c: &[f32],
     n: usize,
     i0: usize,
     rows: usize,
     jt: usize,
     width: usize,
-) -> [[f32; NR]; MR] {
-    let mut acc = [[0.0f32; NR]; MR];
+) -> [[f32; W]; MR] {
+    let mut acc = [[0.0f32; W]; MR];
     for (i, row) in acc.iter_mut().enumerate().take(rows) {
         row[..width].copy_from_slice(&c[(i0 + i) * n + jt..(i0 + i) * n + jt + width]);
     }
@@ -130,8 +188,8 @@ fn load_tile(
 
 /// Stores the tile's `rows × width` live block back to `C`.
 #[inline(always)]
-fn store_tile(
-    acc: &[[f32; NR]; MR],
+fn store_tile<const W: usize>(
+    acc: &[[f32; W]; MR],
     c: &mut [f32],
     n: usize,
     i0: usize,
@@ -144,9 +202,9 @@ fn store_tile(
     }
 }
 
-/// Rank-1 update of the MR×NR accumulator block for one `k`-step.
+/// Rank-1 update of the MR×W accumulator block for one `k`-step.
 #[inline(always)]
-fn rank1(ap: &[f32], bv: &[f32; NR], acc: &mut [[f32; NR]; MR]) {
+fn rank1<const W: usize>(ap: &[f32], bv: &[f32; W], acc: &mut [[f32; W]; MR]) {
     let mut av = [0.0f32; MR];
     av.copy_from_slice(ap);
     for (row, &ai) in acc.iter_mut().zip(&av) {
@@ -156,26 +214,46 @@ fn rank1(ap: &[f32], bv: &[f32; NR], acc: &mut [[f32; NR]; MR]) {
     }
 }
 
-/// The register micro-kernel over the packed ragged B panel: both operands
-/// stream contiguously, so the whole k-loop is bounds-check free
-/// (`chunks_exact` on both sides). Strictly ascending `k`.
+/// The register micro-kernel over a packed, `W`-wide ragged B panel: both
+/// operands stream contiguously, so the whole k-loop is bounds-check free
+/// (`chunks_exact` on both sides). Strictly ascending `k`. Loads the
+/// `rows × width` block of `C` at `(i0, jt)` and stores it back.
+#[allow(clippy::too_many_arguments)]
 #[inline]
-fn micro_tile_packed(a_strip: &[f32], panel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for (ap, bp) in a_strip.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
-        let mut bv = [0.0f32; NR];
+fn ragged_tile<const W: usize>(
+    a_strip: &[f32],
+    panel: &[f32],
+    c: &mut [f32],
+    n: usize,
+    i0: usize,
+    rows: usize,
+    jt: usize,
+    width: usize,
+) {
+    let mut acc = load_tile::<W>(c, n, i0, rows, jt, width);
+    for (ap, bp) in a_strip.chunks_exact(MR).zip(panel.chunks_exact(W)) {
+        let mut bv = [0.0f32; W];
         bv.copy_from_slice(bp);
-        rank1(ap, &bv, acc);
+        rank1(ap, &bv, &mut acc);
     }
+    store_tile(&acc, c, n, i0, rows, jt, width);
 }
 
 /// The register micro-kernel reading B in place: NR values per `k`-step at
-/// `b_tile[p·n..]`. Strictly ascending `k`, the same rank-1 updates as
-/// [`micro_tile_packed`].
+/// `base[row(p) + jt..]`. Strictly ascending `k`, the same rank-1 updates
+/// as [`ragged_tile`].
 #[inline]
-fn micro_tile_strided(a_strip: &[f32], b_tile: &[f32], n: usize, acc: &mut [[f32; NR]; MR]) {
+fn micro_tile_rows(
+    a_strip: &[f32],
+    base: &[f32],
+    row: &impl Fn(usize) -> usize,
+    jt: usize,
+    acc: &mut [[f32; NR]; MR],
+) {
     for (p, ap) in a_strip.chunks_exact(MR).enumerate() {
+        let src = row(p) + jt;
         let mut bv = [0.0f32; NR];
-        bv.copy_from_slice(&b_tile[p * n..p * n + NR]);
+        bv.copy_from_slice(&base[src..src + NR]);
         rank1(ap, &bv, acc);
     }
 }
@@ -267,6 +345,60 @@ mod tests {
         ] {
             check(m, n, k);
         }
+    }
+
+    /// `sgemm_rows` over `offsets` into `base` against `sgemm` over the
+    /// same rows copied out into a dense `k×n` matrix.
+    fn check_rows(m: usize, n: usize, k: usize, base_len: usize, offsets: &[usize]) {
+        let mut s = (m * 7 + n * 31 + k * 3 + base_len) as u64;
+        let a: Vec<f32> = (0..m * k).map(|_| pseudo(&mut s)).collect();
+        let base: Vec<f32> = (0..base_len).map(|_| pseudo(&mut s)).collect();
+        let c0: Vec<f32> = (0..m * n).map(|_| pseudo(&mut s)).collect();
+        let dense: Vec<f32> = offsets
+            .iter()
+            .flat_map(|&o| base[o..o + n].iter().copied())
+            .collect();
+
+        let mut pack = Vec::new();
+        let mut want = c0.clone();
+        sgemm(m, n, k, &a, &dense, &mut want, &mut pack);
+        let mut got = c0;
+        sgemm_rows(m, n, k, &a, &base, offsets, &mut got, &mut pack);
+        for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "({m}×{k}·{k}×{n}) element {i}");
+        }
+    }
+
+    #[test]
+    fn row_views_match_the_materialised_operand_bitwise() {
+        // Dense rows (offset p·n).
+        let dense: Vec<usize> = (0..9).map(|p| p * 40).collect();
+        check_rows(5, 40, 9, 9 * 40, &dense);
+        // Overlapping shifted windows at arbitrary offsets, out of order
+        // and repeated; a ragged NR edge (n = 37).
+        check_rows(3, 37, 6, 200, &[0, 1, 13, 2, 163, 13]);
+        // Several NC blocks, the last one ragged, windows one apart: the
+        // layout a 1×k kernel reads.
+        let shifted: Vec<usize> = (0..7).map(|p| p * 3 + 1).collect();
+        check_rows(6, 2 * NC + 21, 7, 2 * NC + 60, &shifted);
+        // Fewer columns than one tile.
+        check_rows(4, 5, 3, 12, &[7, 0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "inside its base")]
+    fn a_row_past_the_base_is_refused() {
+        let mut c = vec![0.0f32; 4];
+        sgemm_rows(
+            1,
+            4,
+            2,
+            &[1.0, 1.0],
+            &[0.0; 8],
+            &[0, 5],
+            &mut c,
+            &mut Vec::new(),
+        );
     }
 
     #[test]

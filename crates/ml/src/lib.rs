@@ -18,7 +18,8 @@
 //! * **matrix factorization** for the Economix baseline — [`mf`].
 //!
 //! The [`nn`] layers compute through the [`kernel`] module — a blocked,
-//! cache-tiled GEMM with im2col lowering for convolution. The naive loops
+//! cache-tiled GEMM that reads a convolution's taps as shifted row views
+//! of one zero-padded input plane, with no im2col matrix. The naive loops
 //! it replaced are preserved as [`kernel::reference`], the oracle the tests
 //! hold the GEMM path to, bit for bit on finite data (see the kernel docs);
 //! no layer calls them. Data-dependent failures surface as typed

@@ -6,11 +6,11 @@
 //! one feature across all members, and 1×1 kernels after the wide/long
 //! branches. All are stride-1 instances of this layer.
 //!
-//! The compute lives in [`crate::kernel`], which lowers the batch with
-//! im2col and runs the blocked GEMM; `kernel::reference` keeps the original
-//! loop nests as the test oracle, bit-identical to that path. A training
-//! forward keeps its im2col columns for the weight gradient instead of a
-//! copy of its input.
+//! The compute lives in [`crate::kernel`], which lays the batch out once
+//! as a zero-padded plane and runs the blocked GEMM on shifted row views
+//! of it; `kernel::reference` keeps the original loop nests as the test
+//! oracle, bit-identical to that path. A training forward keeps that
+//! padded input plane for the weight gradient.
 
 use super::{check_grad_out, he_normal, replica_of, Layer};
 use crate::error::MlError;
@@ -34,10 +34,10 @@ pub struct Conv2d {
     c_out: usize,
     /// Geometry of the last training forward; `backward` takes it.
     geom_cache: Option<ConvGeom>,
-    /// That forward's `R×(N·P)` im2col columns. The buffer is kept across
-    /// steps and lent to the kernel through `Scratch`, so it is filled in
-    /// place, never reallocated once grown.
-    cols: Vec<f32>,
+    /// That forward's padded input plane (`kernel::plane`). The buffer is
+    /// kept across steps and lent to the kernel through `Scratch`, so it is
+    /// filled in place, never reallocated once grown.
+    plane: Vec<f32>,
     /// The last backward's per-sample parameter-gradient records (see
     /// [`kernel::conv2d_backward_samples`]): folded into `gw`/`gb` by that
     /// backward, and read by a master layer's [`Layer::fold_shard`] when
@@ -76,7 +76,7 @@ impl Conv2d {
             c_in,
             c_out,
             geom_cache: None,
-            cols: Vec::new(),
+            plane: Vec::new(),
             records: Vec::new(),
         }
     }
@@ -139,7 +139,7 @@ impl Conv2d {
         kernel::conv2d_backward_samples(
             g,
             self.w.data(),
-            &self.cols,
+            &self.plane,
             grad_out.data(),
             grad_in,
             &mut self.records,
@@ -157,11 +157,11 @@ impl Layer for Conv2d {
 
     fn forward_train(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, MlError> {
         let g = self.geom("conv2d_forward", input)?;
-        // The kernel lowers into `scratch.cols`: lend it this layer's
-        // buffer for the call and take the filled columns back after.
-        std::mem::swap(&mut self.cols, &mut scratch.cols);
+        // The kernel lays the input out in `scratch.plane`: lend it this
+        // layer's buffer for the call and take the filled plane back after.
+        std::mem::swap(&mut self.plane, &mut scratch.plane);
         let out = self.run_forward(&g, input, scratch);
-        std::mem::swap(&mut self.cols, &mut scratch.cols);
+        std::mem::swap(&mut self.plane, &mut scratch.plane);
         self.geom_cache = Some(g);
         Ok(out)
     }

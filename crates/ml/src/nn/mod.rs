@@ -11,13 +11,13 @@
 //!   is therefore shareable across threads, each thread holding its own
 //!   scratch.
 //! * [`Layer::forward_train`] takes `&mut self` and caches whatever the
-//!   backward pass requires — a convolution keeps the im2col columns its
-//!   forward GEMM read, not its input; [`Layer::backward`] consumes the
+//!   backward pass requires — a convolution keeps the zero-padded input
+//!   plane its forward GEMM read; [`Layer::backward`] consumes the
 //!   cache, accumulates parameter gradients and returns ∂loss/∂input.
 //! * [`Layer::backward_params`] is `backward` for a caller that discards
 //!   ∂loss/∂input — the first layer of a network, whose input is data. It
 //!   leaves the same parameter gradients, bit for bit; a convolution skips
-//!   the input-gradient lowering and GEMM.
+//!   the input-gradient plane and GEMM.
 //! * [`Layer::fold_shard`] is how a batch trains in slices: replicas of a
 //!   stack each run the forward and backward of one slice, and the master
 //!   folds their per-sample gradient records slice by slice. A convolution

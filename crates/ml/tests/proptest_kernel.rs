@@ -4,11 +4,11 @@
 //! (see `kernel::mod` docs), so every comparison here is `==` on the f32
 //! bit patterns — no tolerances. Shapes are drawn odd and ragged on
 //! purpose: the blocked GEMM's MR×NR micro-kernel has to handle partial
-//! strips and partial tiles, and the im2col lowering has to handle
+//! strips and partial tiles, and the padded-plane layout has to handle
 //! kernels larger than the unpadded input.
 
-use locec_ml::kernel::im2col::{im2col, im2col_batched, sample_rows};
-use locec_ml::kernel::sgemm::sgemm;
+use locec_ml::kernel::plane::PlaneLayout;
+use locec_ml::kernel::sgemm::{sgemm, sgemm_rows, NC};
 use locec_ml::kernel::{fast, reference, ConvGeom, Scratch};
 use locec_ml::nn::{Conv2d, Layer, Relu, Sequential};
 use locec_ml::Tensor;
@@ -112,8 +112,8 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "forward {} vs {}", a, b);
         }
 
-        let mut cols = Vec::new();
-        im2col_batched(&input, n, c_in, h, w, kh, kw, ph, pw, g.oh, g.ow, &mut cols);
+        let mut plane = Vec::new();
+        PlaneLayout::conv_input(&g).fill(&input, c_in, &mut plane);
         let mut gin_ref = vec![0.0f32; input.len()];
         let mut gin_fast = vec![0.0f32; input.len()];
         let (mut gw_ref, mut gw_fast) = (gw0.clone(), gw0);
@@ -121,7 +121,7 @@ proptest! {
         reference::conv2d_backward(&g, &wts, &input, &gout, &mut gin_ref, &mut gw_ref, &mut gb_ref);
         let mut records = Vec::new();
         fast::conv2d_backward_samples(
-            &g, &wts, &cols, &gout, Some(&mut gin_fast), &mut records, &mut scratch,
+            &g, &wts, &plane, &gout, Some(&mut gin_fast), &mut records, &mut scratch,
         );
         fast::conv2d_fold(&records, &mut gw_fast, &mut gb_fast);
         for (a, b) in gin_fast.iter().zip(&gin_ref) {
@@ -149,8 +149,8 @@ proptest! {
         pw in 0usize..3,
         seed in 0u64..u64::MAX,
     ) {
-        // The layer's own forward_train → backward: columns cached by the
-        // forward, not re-lowered, must give the reference's bits. Shapes
+        // The layer's own forward_train → backward: the padded plane cached
+        // by the forward, not laid out again, must give the reference's bits. Shapes
         // span padded, asymmetric and kernel-larger-than-input cases.
         if let Ok(g) = ConvGeom::validate("prop", &[n, c_in, h, w], c_in, c_out, kh, kw, ph, pw) {
         let mut s = seed;
@@ -276,36 +276,90 @@ proptest! {
     }
 
     #[test]
-    fn sample_rows_is_transpose_of_im2col(
+    fn sgemm_rows_matches_sgemm_on_the_materialised_operand(
+        m in 1usize..12,
+        n in 1usize..(2 * NC + 40),
+        k in 1usize..12,
+        extra in 0usize..300,
+        seed in 0u64..u64::MAX,
+    ) {
+        // Row `p` of the view starts at an arbitrary offset into one base
+        // buffer; rows overlap, repeat and run out of order. `n` crosses
+        // ragged NR edges and up to three NC blocks.
+        let mut s = seed;
+        let a = filled(m * k, &mut s);
+        let base = filled(n + extra, &mut s);
+        let offsets: Vec<usize> = (0..k)
+            .map(|_| ((pseudo(&mut s) + 1.0) * 0.5 * extra as f32) as usize % (extra + 1))
+            .collect();
+        let c0 = filled(m * n, &mut s);
+        let dense: Vec<f32> = offsets.iter().flat_map(|&o| base[o..o + n].iter().copied()).collect();
+
+        let mut pack = Vec::new();
+        let mut want = c0.clone();
+        sgemm(m, n, k, &a, &dense, &mut want, &mut pack);
+        let mut got = c0;
+        sgemm_rows(m, n, k, &a, &base, &offsets, &mut got, &mut pack);
+        assert_bits_eq(&got, &want, "view GEMM");
+    }
+
+    #[test]
+    fn padded_plane_views_match_direct_indexing(
         n in 1usize..=4,
         c in 1usize..4,
         h in 1usize..20,
         w in 1usize..20,
-        kh in 1usize..5,
-        kw in 1usize..5,
+        kh in 1usize..6,
+        kw in 1usize..6,
         ph in 0usize..3,
         pw in 0usize..3,
         seed in 0u64..u64::MAX,
     ) {
-        // Sample `ni`'s block of the batched columns, transposed, is that
-        // sample's own im2col matrix read row-major as `P×R` — the operand
-        // the weight-gradient GEMM needs. Grids up to 19×19 cross the
-        // transpose's 16-wide tiles.
-        if let Ok(g) = ConvGeom::validate("prop", &[n, c, h, w], c, 1, kh, kw, ph, pw) {
-        let (r_dim, p) = (c * kh * kw, g.oh * g.ow);
+        // Every kernel tap's row view of the forward plane, read at every
+        // output cell of every sample, is the input pixel under that tap or
+        // a padding zero; so is every flipped tap's view of the
+        // output-gradient plane at every input cell. Both stay in bounds
+        // across the whole GEMM span.
+        if let Ok(g) = ConvGeom::validate("prop", &[n, c, h, w], c, c, kh, kw, ph, pw) {
         let mut s = seed;
-        let input = filled(n * c * h * w, &mut s);
-        let (mut batched, mut cols) = (Vec::new(), Vec::new());
-        // Stale, longer contents prove the rows are fully overwritten.
-        let mut rows = filled(2 * p * r_dim + 3, &mut s);
-        im2col_batched(&input, n, c, h, w, kh, kw, ph, pw, g.oh, g.ow, &mut batched);
-        for ni in 0..n {
-            im2col(&input[ni * c * h * w..(ni + 1) * c * h * w], c, h, w, kh, kw, ph, pw, g.oh, g.ow, &mut cols);
-            sample_rows(&batched, r_dim, n, p, ni, &mut rows);
-            prop_assert_eq!(rows.len(), p * r_dim);
-            for r in 0..r_dim {
-                for q in 0..p {
-                    prop_assert_eq!(cols[r * p + q].to_bits(), rows[q * r_dim + r].to_bits());
+        let at = |src: &[f32], rows: usize, cols: usize, y: isize, x: isize| {
+            if y < 0 || x < 0 || y >= rows as isize || x >= cols as isize {
+                0.0
+            } else {
+                src[y as usize * cols + x as usize]
+            }
+        };
+        let (ph, pw) = (ph as isize, pw as isize);
+        for (layout, (sh, sw), (gh, gw), flipped) in [
+            (PlaneLayout::conv_input(&g), (h, w), (g.oh, g.ow), false),
+            (PlaneLayout::conv_grad_out(&g), (g.oh, g.ow), (h, w), true),
+        ] {
+            let src = filled(n * c * sh * sw, &mut s);
+            // Stale contents prove the plane is fully overwritten.
+            let mut plane = filled(2 * c * layout.channel_len() + 1, &mut s);
+            layout.fill(&src, c, &mut plane);
+            prop_assert_eq!(plane.len(), c * layout.channel_len());
+            for ci in 0..c {
+                for ky in 0..kh {
+                    for kx in 0..kw {
+                        let (dy, dx) = if flipped {
+                            (ph - ky as isize, pw - kx as isize)
+                        } else {
+                            (ky as isize - ph, kx as isize - pw)
+                        };
+                        let off = ci * layout.channel_len() + layout.tap(dy, dx);
+                        prop_assert!(off + layout.span() <= plane.len());
+                        for ni in 0..n {
+                            let plane_src = &src[(ni * c + ci) * sh * sw..][..sh * sw];
+                            for gy in 0..gh {
+                                for gx in 0..gw {
+                                    let want = at(plane_src, sh, sw, gy as isize + dy, gx as isize + dx);
+                                    let got = plane[off + layout.cell(ni, gy, gx)];
+                                    prop_assert_eq!(got.to_bits(), want.to_bits());
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }
