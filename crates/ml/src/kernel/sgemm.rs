@@ -15,14 +15,14 @@
 //!   rows. Where a row starts is the caller's: `p·n` for a dense matrix
 //!   ([`sgemm`]), an offset table for a view ([`sgemm_rows`]) whose rows
 //!   are shifted windows of one buffer. Repacking full panels k-major was
-//!   measured slower on every shape CommCNN runs — conv forward, ∂weights and ∂input, dense layers,
+//!   measured slower on every shape CommCNN runs — conv forward, ∂weights
+//!   and ∂input, dense layers,
 //!   2 to 8 strips: by 7–39 % per GEMM on a 2-vCPU x86-64 VM at the
 //!   baseline target — because `k` is small and a block's rows are few
 //!   enough to stay cached either way. A ragged right edge
-//!   (fewer than `NR` columns left) is packed, zero-padded to the
-//!   narrowest panel of 4, 8 or `NR` columns that holds it, and runs
-//!   through a micro-kernel of that width; the padded lanes fold zeros and
-//!   are never written back.
+//!   (fewer than `NR` columns left) is packed, zero-padded to a full
+//!   panel, so it runs through the same micro-kernel; the padded lanes fold
+//!   zeros and are never written back.
 //! * **No k-blocking.** Each output element is one flat left-fold over the
 //!   *entire* `k` dimension, in ascending order, starting from the value
 //!   already in `C`. Splitting `k` into cache panels would re-associate
@@ -126,24 +126,14 @@ fn gemm(
         let nb = NC.min(n - jc);
         let full = nb / NR;
         let ragged = nb % NR;
-        // The ragged edge's panel is the narrowest of 4, 8 or NR columns
-        // that holds it, so a few leftover columns do not pay for a full
-        // NR-wide tile.
-        let width = match ragged {
-            0..=4 => 4,
-            5..=8 => 8,
-            _ => NR,
-        };
-        let panel = &mut ragged_panel[..if ragged > 0 { k * width } else { 0 }];
         if ragged > 0 {
             let jt = jc + full * NR;
-            for (p, dst) in panel.chunks_exact_mut(width).enumerate() {
+            for (p, dst) in ragged_panel.chunks_exact_mut(NR).enumerate() {
                 let src = row(p) + jt;
                 dst[..ragged].copy_from_slice(&base[src..src + ragged]);
                 dst[ragged..].fill(0.0);
             }
         }
-        let panel = &*panel;
 
         for (s, a_strip) in apack.chunks_exact(MR * k).enumerate() {
             let i0 = s * MR;
@@ -151,17 +141,15 @@ fn gemm(
 
             for t in 0..full {
                 let jt = jc + t * NR;
-                let mut acc = load_tile::<NR>(c, n, i0, rows, jt, NR);
+                let mut acc = load_tile(c, n, i0, rows, jt, NR);
                 micro_tile_rows(a_strip, base, &row, jt, &mut acc);
                 store_tile(&acc, c, n, i0, rows, jt, NR);
             }
             if ragged > 0 {
                 let jt = jc + full * NR;
-                match width {
-                    4 => ragged_tile::<4>(a_strip, panel, c, n, i0, rows, jt, ragged),
-                    8 => ragged_tile::<8>(a_strip, panel, c, n, i0, rows, jt, ragged),
-                    _ => ragged_tile::<NR>(a_strip, panel, c, n, i0, rows, jt, ragged),
-                }
+                let mut acc = load_tile(c, n, i0, rows, jt, ragged);
+                micro_tile_packed(a_strip, ragged_panel, &mut acc);
+                store_tile(&acc, c, n, i0, rows, jt, ragged);
             }
         }
         jc += nb;
@@ -171,15 +159,15 @@ fn gemm(
 /// Loads the `rows × width` block of `C` at `(i0, jt)` into a zeroed
 /// register tile: the fold starts from the value already in `C`.
 #[inline(always)]
-fn load_tile<const W: usize>(
+fn load_tile(
     c: &[f32],
     n: usize,
     i0: usize,
     rows: usize,
     jt: usize,
     width: usize,
-) -> [[f32; W]; MR] {
-    let mut acc = [[0.0f32; W]; MR];
+) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0f32; NR]; MR];
     for (i, row) in acc.iter_mut().enumerate().take(rows) {
         row[..width].copy_from_slice(&c[(i0 + i) * n + jt..(i0 + i) * n + jt + width]);
     }
@@ -188,8 +176,8 @@ fn load_tile<const W: usize>(
 
 /// Stores the tile's `rows × width` live block back to `C`.
 #[inline(always)]
-fn store_tile<const W: usize>(
-    acc: &[[f32; W]; MR],
+fn store_tile(
+    acc: &[[f32; NR]; MR],
     c: &mut [f32],
     n: usize,
     i0: usize,
@@ -202,9 +190,9 @@ fn store_tile<const W: usize>(
     }
 }
 
-/// Rank-1 update of the MR×W accumulator block for one `k`-step.
+/// Rank-1 update of the MR×NR accumulator block for one `k`-step.
 #[inline(always)]
-fn rank1<const W: usize>(ap: &[f32], bv: &[f32; W], acc: &mut [[f32; W]; MR]) {
+fn rank1(ap: &[f32], bv: &[f32; NR], acc: &mut [[f32; NR]; MR]) {
     let mut av = [0.0f32; MR];
     av.copy_from_slice(ap);
     for (row, &ai) in acc.iter_mut().zip(&av) {
@@ -214,34 +202,21 @@ fn rank1<const W: usize>(ap: &[f32], bv: &[f32; W], acc: &mut [[f32; W]; MR]) {
     }
 }
 
-/// The register micro-kernel over a packed, `W`-wide ragged B panel: both
-/// operands stream contiguously, so the whole k-loop is bounds-check free
-/// (`chunks_exact` on both sides). Strictly ascending `k`. Loads the
-/// `rows × width` block of `C` at `(i0, jt)` and stores it back.
-#[allow(clippy::too_many_arguments)]
+/// The register micro-kernel over the packed ragged B panel: both operands
+/// stream contiguously, so the whole k-loop is bounds-check free
+/// (`chunks_exact` on both sides). Strictly ascending `k`.
 #[inline]
-fn ragged_tile<const W: usize>(
-    a_strip: &[f32],
-    panel: &[f32],
-    c: &mut [f32],
-    n: usize,
-    i0: usize,
-    rows: usize,
-    jt: usize,
-    width: usize,
-) {
-    let mut acc = load_tile::<W>(c, n, i0, rows, jt, width);
-    for (ap, bp) in a_strip.chunks_exact(MR).zip(panel.chunks_exact(W)) {
-        let mut bv = [0.0f32; W];
+fn micro_tile_packed(a_strip: &[f32], panel: &[f32], acc: &mut [[f32; NR]; MR]) {
+    for (ap, bp) in a_strip.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
+        let mut bv = [0.0f32; NR];
         bv.copy_from_slice(bp);
-        rank1(ap, &bv, &mut acc);
+        rank1(ap, &bv, acc);
     }
-    store_tile(&acc, c, n, i0, rows, jt, width);
 }
 
 /// The register micro-kernel reading B in place: NR values per `k`-step at
 /// `base[row(p) + jt..]`. Strictly ascending `k`, the same rank-1 updates
-/// as [`ragged_tile`].
+/// as [`micro_tile_packed`].
 #[inline]
 fn micro_tile_rows(
     a_strip: &[f32],
