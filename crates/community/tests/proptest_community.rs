@@ -61,6 +61,39 @@ fn word_boundary_graph() -> impl Strategy<Value = CsrGraph> {
     })
 }
 
+/// Planted circles: disjoint cliques of 3–8 consecutive ids laid from 0 up
+/// to `n` (64, 65, 70, 128, 129 or 140 nodes, so cliques straddle the word
+/// boundaries) plus a few random bridges — the ego shape on which the
+/// modularity bound stops Girvan–Newman long before the last removal.
+fn planted_circle_graph() -> impl Strategy<Value = CsrGraph> {
+    (0usize..6).prop_flat_map(|pick| {
+        let n = [64usize, 65, 70, 128, 129, 140][pick];
+        (
+            proptest::collection::vec(3usize..=8, n / 3 + 1),
+            proptest::collection::vec((0..n as u32, 0..n as u32), 1..=6),
+        )
+            .prop_map(move |(sizes, bridges)| {
+                let mut b = GraphBuilder::new(n);
+                let mut start = 0usize;
+                for size in sizes {
+                    let end = (start + size).min(n);
+                    for u in start..end {
+                        for v in (u + 1)..end {
+                            b.add_edge(NodeId(u as u32), NodeId(v as u32));
+                        }
+                    }
+                    start = end;
+                }
+                for (u, v) in bridges {
+                    if u != v {
+                        b.add_edge(NodeId(u), NodeId(v));
+                    }
+                }
+                b.build()
+            })
+    })
+}
+
 /// The production kernel's scores equal the hash-map oracle's bit for bit
 /// (same accumulation order, exact halving), from every source and from
 /// one component's nodes only (the Girvan–Newman incremental path).
@@ -208,6 +241,11 @@ proptest! {
 
     #[test]
     fn gn_fast_path_equals_reference_across_words(g in word_boundary_graph()) {
+        assert_gn_equals_reference(&g);
+    }
+
+    #[test]
+    fn gn_fast_path_equals_reference_on_planted_circles(g in planted_circle_graph()) {
         assert_gn_equals_reference(&g);
     }
 

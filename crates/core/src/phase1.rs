@@ -797,15 +797,16 @@ pub fn divide_one_with(
 
 /// Cached global-recorder handles for the Phase I hot loop. Counter
 /// totals (egos, per-detector runs, fallbacks, Girvan–Newman's removals,
-/// splits and Brandes sources) are deterministic for a given graph + config
-/// and therefore identical across thread counts; the ego-latency histogram is
-/// the per-ego timing engine comparisons need.
+/// splits, Brandes sources and bound stops) are deterministic for a given
+/// graph + config and therefore identical across thread counts; the
+/// ego-latency histogram is the per-ego timing engine comparisons need.
 struct Phase1Metrics {
     egos: locec_obs::Counter,
     gn_runs: locec_obs::Counter,
     gn_removals: locec_obs::Counter,
     gn_splits: locec_obs::Counter,
     gn_sources: locec_obs::Counter,
+    gn_bound_stops: locec_obs::Counter,
     louvain_runs: locec_obs::Counter,
     labelprop_runs: locec_obs::Counter,
     louvain_fallbacks: locec_obs::Counter,
@@ -823,6 +824,7 @@ impl Phase1Metrics {
                 gn_removals: rec.counter("phase1.gn_removals"),
                 gn_splits: rec.counter("phase1.gn_splits"),
                 gn_sources: rec.counter("phase1.gn_sources"),
+                gn_bound_stops: rec.counter("phase1.gn_bound_stops"),
                 louvain_runs: rec.counter("phase1.louvain_runs"),
                 labelprop_runs: rec.counter("phase1.labelprop_runs"),
                 louvain_fallbacks: rec.counter("phase1.louvain_fallbacks"),
@@ -855,6 +857,9 @@ fn detect(
             metrics.gn_removals.add(gn_scratch.removals);
             metrics.gn_splits.add(gn_scratch.splits);
             metrics.gn_sources.add(gn_scratch.brandes_sources);
+            metrics
+                .gn_bound_stops
+                .add(u64::from(gn_scratch.bound_stopped));
             partition
         }
         CommunityDetector::Louvain => {

@@ -31,6 +31,7 @@ const SEMANTIC: &[&str] = &[
     "phase1.gn_removals",
     "phase1.gn_splits",
     "phase1.gn_sources",
+    "phase1.gn_bound_stops",
     "phase1.louvain_runs",
     "phase1.labelprop_runs",
     "phase1.louvain_fallbacks",
